@@ -76,12 +76,9 @@ from .generators import (
     gen_similarity,
 )
 from .oracle import (
-    EnumerationBudget,
     all_choice_functions,
     all_orderings,
     exact_feasible,
-    feasible_by_elimination,
-    naive_self_progressive,
 )
 
 __version__ = "0.1.0"

@@ -10,8 +10,9 @@ Schemas (all JSON, UTF-8):
              pins that order when no function spells its sets out)
   rcf        {"probs": [{"set": [...], "x": "...", "p": "p/q"}, ...]}
 
-Exit codes: 0 pass, 1 semantic fail, 2 parse/schema error, 3 invariant
-violation in the input data.  All output is deterministic byte for byte.
+Exit codes: 0 pass, 1 semantic fail, 2 usage, parse or schema error,
+3 invariant violation in the input data.  All output is deterministic byte
+for byte.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
@@ -58,16 +58,6 @@ class SchemaError(Exception):
     """Malformed input file (shape, keys, or unparsable values)."""
 
 
-@dataclass(frozen=True)
-class Workspace:
-    """Resolved input paths for one invocation."""
-
-    model_path: Path | None = None
-    rcf_path: Path | None = None
-    orderings_path: Path | None = None
-    output_dir: Path | None = None
-
-
 def _read_json(path: str | Path) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -99,6 +89,13 @@ def _infer_domain(sets: list[tuple[str, ...]],
         return ChoiceDomain.from_symbols(alternatives, sets)
     except DomainMismatchError as exc:
         raise SchemaError(str(exc)) from None
+
+
+def _position(domain: ChoiceDomain, members: Sequence[str], path) -> int:
+    try:
+        return domain.position(members)
+    except DomainMismatchError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def load_domain(path: str | Path) -> ChoiceDomain:
@@ -136,15 +133,11 @@ def load_model(path: str | Path) -> ChoiceModel:
         elif isinstance(f, dict):
             by_set = {}
             for entry in _need(f, "picks", path):
-                members = tuple(str(a) for a in _need(entry, "set", path))
-                try:
-                    key = tuple(sorted(domain.index[a] for a in members))
-                except KeyError as exc:
-                    raise SchemaError(
-                        f"{path}: unknown alternative {exc.args[0]!r}") from None
-                by_set[key] = str(_need(entry, "x", path))
+                members = [str(a) for a in _need(entry, "set", path)]
+                pos = _position(domain, members, path)
+                by_set[pos] = str(_need(entry, "x", path))
             try:
-                picks = [by_set[s] for s in domain.sets]
+                picks = [by_set[si] for si in range(len(domain.sets))]
             except KeyError:
                 raise SchemaError(f"{path}: a function misses some choice set") from None
             functions.append(ChoiceFunction.from_symbols(domain, picks))
@@ -178,14 +171,11 @@ def load_orderings(path: str | Path, domain: ChoiceDomain) -> PrimitiveOrderings
     if isinstance(data, dict) and "per_set" in data:
         by_set = {}
         for entry in data["per_set"]:
-            members = tuple(str(a) for a in _need(entry, "set", path))
-            try:
-                key = tuple(sorted(domain.index[a] for a in members))
-            except KeyError as exc:
-                raise SchemaError(f"{path}: unknown alternative {exc.args[0]!r}") from None
-            by_set[key] = [str(a) for a in _need(entry, "rank", path)]
+            members = [str(a) for a in _need(entry, "set", path)]
+            by_set[_position(domain, members, path)] = [
+                str(a) for a in _need(entry, "rank", path)]
         try:
-            rankings = [by_set[s] for s in domain.sets]
+            rankings = [by_set[si] for si in range(len(domain.sets))]
         except KeyError:
             raise SchemaError(f"{path}: per-set orderings miss some choice set") from None
         return PrimitiveOrderings.from_per_set(domain, rankings)
@@ -236,66 +226,50 @@ def cmd_decompose(args) -> int:
     return EXIT_PASS
 
 
-def _check_lattice(model, ordering):
-    ok, witness = is_lattice(model, ordering)
-    if ok:
-        return True, None
-    return False, {"left": func_repr(witness.left),
-                   "right": func_repr(witness.right),
-                   "kind": witness.kind,
-                   "escapee": func_repr(witness.escapee)}
-
-
-def _check_theta(model, ordering):
-    order = ordering.global_symbols()
-    for c in model.functions:
-        ok, violation = satisfies_theta(c, order)
-        if not ok:
-            return False, {"function": func_repr(c),
-                           "set": list(violation.set_symbols),
-                           "removed": violation.removed,
-                           "chosen": violation.chosen,
-                           "after": violation.chosen_after,
-                           "axiom": violation.axiom}
-    return True, None
-
-
-def _check_chain(model, ordering):
-    for c1, c2 in itertools.combinations(model.functions, 2):
-        if compare(c1, c2, ordering) is Comparison.INCOMPARABLE:
-            return False, {"left": func_repr(c1), "right": func_repr(c2)}
-    return True, None
-
-
-def _check_mixture(model, _ordering):
-    ok, witness = is_mixture_closed(model)
-    if ok:
-        return True, None
-    return False, {"left": func_repr(witness.left),
-                   "right": func_repr(witness.right),
-                   "escapee": func_repr(witness.escapee)}
-
-
 def cmd_check(args) -> int:
-    if args.check == "rtheta":
-        rcf = load_rcf(args.model)
-        ordering = load_orderings(args.orderings, rcf.domain)
-        ok, violation = satisfies_rtheta(rcf, ordering.global_symbols())
-        witness = None if ok else {"set": list(violation.set_symbols),
-                                   "removed": violation.removed,
-                                   "fixed": violation.fixed,
-                                   "axiom": violation.axiom}
+    load = load_rcf if args.check == "rtheta" else load_model
+    data = load(args.model)
+    if args.check != "mixture":
+        if args.orderings is None:
+            raise SchemaError("this check needs an orderings file")
+        ordering = load_orderings(args.orderings, data.domain)
+        if args.check in ("theta", "rtheta") and ordering.global_order is None:
+            raise SchemaError(f"--{args.check} needs a global ordering, "
+                              "not per-set orderings")
+    if args.check == "lattice":
+        ok, w = is_lattice(data, ordering)
+        witness = None if ok else {"left": func_repr(w.left),
+                                   "right": func_repr(w.right),
+                                   "kind": w.kind,
+                                   "escapee": func_repr(w.escapee)}
+    elif args.check == "chain":
+        ok, w = is_chain(data, ordering)
+        witness = None if ok else {"left": func_repr(w[0]),
+                                   "right": func_repr(w[1])}
+    elif args.check == "mixture":
+        ok, w = is_mixture_closed(data)
+        witness = None if ok else {"left": func_repr(w.left),
+                                   "right": func_repr(w.right),
+                                   "escapee": func_repr(w.escapee)}
+    elif args.check == "rtheta":
+        ok, w = satisfies_rtheta(data, ordering.global_symbols())
+        witness = None if ok else {"set": list(w.set_symbols),
+                                   "removed": w.removed,
+                                   "fixed": w.fixed,
+                                   "axiom": w.axiom}
     else:
-        model = load_model(args.model)
-        if args.check == "mixture":
-            ordering = None
-        else:
-            if args.orderings is None:
-                raise SchemaError("this check needs an orderings file")
-            ordering = load_orderings(args.orderings, model.domain)
-        runner = {"lattice": _check_lattice, "theta": _check_theta,
-                  "chain": _check_chain, "mixture": _check_mixture}[args.check]
-        ok, witness = runner(model, ordering)
+        ok, witness = True, None
+        order = ordering.global_symbols()
+        for c in data.functions:
+            ok, w = satisfies_theta(c, order)
+            if not ok:
+                witness = {"function": func_repr(c),
+                           "set": list(w.set_symbols),
+                           "removed": w.removed,
+                           "chosen": w.chosen,
+                           "after": w.chosen_after,
+                           "axiom": w.axiom}
+                break
     sys.stdout.write(_dumps({"check": args.check, "pass": ok, "witness": witness}))
     return EXIT_PASS if ok else EXIT_FAIL
 

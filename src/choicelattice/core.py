@@ -25,7 +25,7 @@ class DomainMismatchError(ChoiceError):
 
 
 class GuardError(ChoiceError):
-    """Raised when an enumeration guard or budget is exceeded."""
+    """Raised when an enumeration guard is exceeded."""
 
 
 def _as_tuple_of_symbols(symbols: Iterable[str]) -> tuple[str, ...]:
@@ -123,10 +123,43 @@ class ChoiceDomain:
     def set_symbols(self, position: int) -> tuple[str, ...]:
         return tuple(self.alternatives[i] for i in self.sets[position])
 
+    def position(self, members: Iterable[str]) -> int:
+        """Position in ``sets`` of the choice set with the given symbols."""
+        members = tuple(members)
+        try:
+            key = tuple(sorted(self.index[str(m)] for m in members))
+        except KeyError as exc:
+            raise DomainMismatchError(f"unknown alternative {exc.args[0]!r}") from None
+        pos = self.set_position.get(key)
+        if pos is None:
+            raise DomainMismatchError(f"{members!r} is not a domain set")
+        return pos
+
+    def order_index(self, order: Iterable[str]) -> tuple[int, ...]:
+        """A strict total order of symbols as indices, best first."""
+        try:
+            g = tuple(self.index[str(a)] for a in order)
+        except KeyError as exc:
+            raise DomainMismatchError(f"unknown alternative {exc.args[0]!r}") from None
+        if sorted(g) != list(range(self.n)):
+            raise ChoiceError("global order must rank every alternative exactly once")
+        return g
+
     def require_full(self, what: str) -> None:
         if not self.is_full:
             raise ChoiceError(f"{what} requires a full domain "
                               f"(every choice set of size >= 2)")
+
+
+def order_ranks(order: Sequence[int], n: int) -> list[int]:
+    """rank[x] = position of alternative x in ``order`` (0 is best).
+
+    Alternatives that ``order`` leaves out get rank n.
+    """
+    rank = [n] * n
+    for pos, x in enumerate(order):
+        rank[x] = pos
+    return rank
 
 
 def restrict_ordering(global_order: Sequence[str],
@@ -174,13 +207,7 @@ class PrimitiveOrderings:
     @classmethod
     def from_global(cls, domain: ChoiceDomain,
                     order: Sequence[str]) -> "PrimitiveOrderings":
-        idx = domain.index
-        try:
-            g = tuple(idx[str(a)] for a in order)
-        except KeyError as exc:
-            raise DomainMismatchError(f"unknown alternative {exc.args[0]!r}") from None
-        if tuple(sorted(g)) != tuple(range(domain.n)):
-            raise ChoiceError("global order must rank every alternative exactly once")
+        g = domain.order_index(order)
         per_set = tuple(tuple(x for x in g if x in set(s)) for s in domain.sets)
         return cls(domain, per_set, g)
 
@@ -204,13 +231,7 @@ class PrimitiveOrderings:
         Indexed by alternative for speed; slots for non-members hold n.
         """
         n = self.domain.n
-        table = []
-        for ranking in self.per_set:
-            row = [n] * n
-            for pos, x in enumerate(ranking):
-                row[x] = pos
-            table.append(tuple(row))
-        return tuple(table)
+        return tuple(tuple(order_ranks(ranking, n)) for ranking in self.per_set)
 
     @cached_property
     def prefer(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -227,10 +248,7 @@ class PrimitiveOrderings:
     def global_rank(self) -> tuple[int, ...]:
         if self.global_order is None:
             raise ChoiceError("this operation needs a single global ordering")
-        row = [0] * self.domain.n
-        for pos, x in enumerate(self.global_order):
-            row[x] = pos
-        return tuple(row)
+        return tuple(order_ranks(self.global_order, self.domain.n))
 
     def global_symbols(self) -> tuple[str, ...]:
         if self.global_order is None:
@@ -280,12 +298,7 @@ class ChoiceFunction:
 
     def pick(self, members: Iterable[str]) -> str:
         """The chosen symbol at the given choice set."""
-        idx = self.domain.index
-        key = tuple(sorted(idx[str(m)] for m in members))
-        pos = self.domain.set_position.get(key)
-        if pos is None:
-            raise DomainMismatchError(f"{tuple(members)!r} is not a domain set")
-        return self.domain.alternatives[self.picks[pos]]
+        return self.domain.alternatives[self.picks[self.domain.position(members)]]
 
 
 class Comparison(Enum):

@@ -1,18 +1,20 @@
-"""Model generators used by the property tests and the CLI.
+"""Model generators.
 
-Covers similarity-based binary lottery choice, satisficing with per-set
-threshold alternatives, multi-rationale maximization, and seeded random
-models.
+``gen_random_model`` draws seeded random models; ``choicelattice generate
+--kind random`` prints them.  The other generators build the paper's
+behavioural examples: similarity-based binary lottery choice, satisficing
+with per-set threshold alternatives, and multi-rationale maximization.
+Nothing in the package calls them, and no test covers them yet.
 """
 
 from __future__ import annotations
 
 import itertools
 import random as _stdrandom
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     ChoiceDomain,
@@ -21,6 +23,7 @@ from .core import (
     DomainMismatchError,
     GuardError,
     PrimitiveOrderings,
+    order_ranks,
 )
 from .models import ChoiceModel
 
@@ -129,7 +132,7 @@ def gen_satisficing(domain: ChoiceDomain, ordering: PrimitiveOrderings,
     pref = [str(a) for a in preference]
     if sorted(pref) != sorted(domain.alternatives):
         raise ChoiceError("the common preference must rank every alternative")
-    pref_rank = {idx[a]: i for i, a in enumerate(pref)}
+    pref_rank = order_ranks([idx[a] for a in pref], domain.n)
     rank = ordering.rank
     functions = []
     for agent in thresholds:
@@ -163,7 +166,7 @@ def gen_krs(domain: ChoiceDomain,
         symbols = [str(a) for a in pref]
         if sorted(symbols) != sorted(domain.alternatives):
             raise ChoiceError("every preference must rank every alternative")
-        ranks.append({idx[a]: i for i, a in enumerate(symbols)})
+        ranks.append(order_ranks([idx[a] for a in symbols], domain.n))
     options = []
     total = 1
     for s in domain.sets:

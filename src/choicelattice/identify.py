@@ -10,11 +10,11 @@ and is cross-checked against brute force over all orders.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import ChoiceDomain, ChoiceError, GuardError
-from .models import ChoiceModel, _global_rank, _theta_ok
+from .core import ChoiceError, GuardError, order_ranks
+from .models import ChoiceModel, theta_violation
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def check_axioms(relation: BetweennessRelation) -> AxiomReport:
 
 def _agrees(order_index: Sequence[int],
             relation: BetweennessRelation) -> bool:
-    pos = {x: i for i, x in enumerate(order_index)}
+    pos = order_ranks(order_index, len(relation.alternatives))
     for y, (x, z) in relation.triples:
         if not (pos[x] < pos[y] < pos[z] or pos[z] < pos[y] < pos[x]):
             return False
@@ -243,10 +243,8 @@ def identify_primitive(model: ChoiceModel
     picks = [c.picks for c in model.functions]
 
     def theta_all(order_index: tuple[int, ...]) -> bool:
-        grank = [0] * dom.n
-        for p, x in enumerate(order_index):
-            grank[x] = p
-        return all(_theta_ok(pk, dom, grank) for pk in picks)
+        grank = order_ranks(order_index, dom.n)
+        return all(theta_violation(pk, dom, grank) is None for pk in picks)
 
     every_order = list(itertools.permutations(range(dom.n)))
     brute = {o for o in every_order if theta_all(o)}

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     ChoiceDomain,
@@ -25,6 +25,7 @@ from .core import (
     compare_picks,
     join_picks,
     meet_picks,
+    order_ranks,
 )
 
 ENUMERATION_GUARD_N = 6
@@ -184,14 +185,16 @@ def lattice_closure(model: ChoiceModel,
     return ChoiceModel.from_picks(model.domain, seen)
 
 
-def is_chain(model: ChoiceModel, ordering: PrimitiveOrderings) -> bool:
-    """True iff the comparison relation is total on the model."""
+def is_chain(model: ChoiceModel, ordering: PrimitiveOrderings
+             ) -> tuple[bool, tuple[ChoiceFunction, ChoiceFunction] | None]:
+    """True iff the comparison relation is total on the model; otherwise
+    the first incomparable pair."""
     _check_shared(model, ordering)
     rank = ordering.rank
     for c1, c2 in itertools.combinations(model.functions, 2):
         if compare_picks(c1.picks, c2.picks, rank) is Comparison.INCOMPARABLE:
-            return False
-    return True
+            return False, (c1, c2)
+    return True, None
 
 
 def rationalize(c: ChoiceFunction) -> tuple[str, ...] | None:
@@ -236,32 +239,23 @@ def enumerate_rational(domain: ChoiceDomain) -> ChoiceModel:
         raise GuardError(f"rational enumeration is guarded at n <= {ENUMERATION_GUARD_N}")
     seen = set()
     for order in itertools.permutations(range(domain.n)):
-        rank = [0] * domain.n
-        for pos, x in enumerate(order):
-            rank[x] = pos
+        rank = order_ranks(order, domain.n)
         seen.add(tuple(min(s, key=rank.__getitem__) for s in domain.sets))
     return ChoiceModel.from_picks(domain, seen)
 
 
-def _global_rank(domain: ChoiceDomain, global_order: Sequence[str]) -> list[int]:
-    idx = domain.index
-    try:
-        order = [idx[str(a)] for a in global_order]
-    except KeyError as exc:
-        raise DomainMismatchError(f"unknown alternative {exc.args[0]!r}") from None
-    if sorted(order) != list(range(domain.n)):
-        raise ChoiceError("global order must rank every alternative exactly once")
-    rank = [0] * domain.n
-    for pos, x in enumerate(order):
-        rank[x] = pos
-    return rank
+def theta_violation(picks: Sequence[int], domain: ChoiceDomain,
+                    grank: Sequence[int]) -> tuple[int, int, int, int] | None:
+    """The first failed choice-overload comparison, or None.
 
-
-def _theta_ok(picks: Sequence[int], domain: ChoiceDomain,
-              grank: Sequence[int]) -> bool:
+    Returns (set position, removed x, chosen y, chosen after removal), all
+    as indices; ``grank`` holds the global rank of each alternative.
+    Removing an x worse than y may only improve the choice (theta1);
+    removing one better than y may only worsen it (theta2).  Quantifies
+    over removals that stay inside the domain.
+    """
     removal = domain.removal_position
-    sets = domain.sets
-    for si, s in enumerate(sets):
+    for si, s in enumerate(domain.sets):
         if len(s) < 3:
             continue
         y = picks[si]
@@ -269,54 +263,39 @@ def _theta_ok(picks: Sequence[int], domain: ChoiceDomain,
         for x, sub in removal[si].items():
             if x == y:
                 continue
-            r2 = grank[picks[sub]]
+            y2 = picks[sub]
+            r2 = grank[y2]
             if ry < grank[x]:
                 if r2 > ry:
-                    return False
+                    return si, x, y, y2
             elif r2 < ry:
-                return False
-    return True
+                return si, x, y, y2
+    return None
 
 
 def satisfies_theta(c: ChoiceFunction, global_order: Sequence[str]
                     ) -> tuple[bool, ThetaViolation | None]:
-    """Check both choice-overload axioms at every (set, removed alternative).
-
-    Removing an alternative worse than the chosen one may only improve the
-    choice; removing one better than the chosen one may only worsen it.
-    Quantifies over removals that stay inside the domain.
-    """
+    """Check both choice-overload axioms at every (set, removed alternative)."""
     dom = c.domain
     dom.require_full("the theta axioms")
-    grank = _global_rank(dom, global_order)
+    grank = order_ranks(dom.order_index(global_order), dom.n)
+    found = theta_violation(c.picks, dom, grank)
+    if found is None:
+        return True, None
+    si, x, y, y2 = found
     alts = dom.alternatives
-    for si, s in enumerate(dom.sets):
-        if len(s) < 3:
-            continue
-        y = c.picks[si]
-        for x, sub in dom.removal_position[si].items():
-            if x == y:
-                continue
-            y2 = c.picks[sub]
-            if grank[y] < grank[x]:  # chosen y is better than removed x
-                if grank[y2] > grank[y]:
-                    return False, ThetaViolation(dom.set_symbols(si), alts[x],
-                                                 alts[y], alts[y2], "theta1")
-            elif grank[y2] < grank[y]:  # removed x is better than chosen y
-                return False, ThetaViolation(dom.set_symbols(si), alts[x],
-                                             alts[y], alts[y2], "theta2")
-    return True, None
+    axiom = "theta1" if grank[y] < grank[x] else "theta2"
+    return False, ThetaViolation(dom.set_symbols(si), alts[x], alts[y],
+                                 alts[y2], axiom)
 
 
 @lru_cache(maxsize=128)
 def _theta_picks(domain: ChoiceDomain,
                  order: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    grank = [0] * domain.n
-    for pos, x in enumerate(order):
-        grank[x] = pos
+    grank = order_ranks(order, domain.n)
     passing = frozenset(
         picks for picks in itertools.product(*domain.sets)
-        if _theta_ok(picks, domain, grank))
+        if theta_violation(picks, domain, grank) is None)
     # Mandatory cross-check: the axiom filter must coincide with the lattice
     # closure of the rational model (the artifact's central equivalence).
     ordering = PrimitiveOrderings.from_global(
@@ -345,8 +324,7 @@ def theta_model(domain: ChoiceDomain,
         raise GuardError(
             f"theta_model's dual-path check enumerates every choice function "
             f"and is guarded at n <= {THETA_GUARD_N}")
-    grank = _global_rank(domain, global_order)
-    order = tuple(sorted(range(domain.n), key=grank.__getitem__))
+    order = domain.order_index(global_order)
     return ChoiceModel.from_picks(domain, _theta_picks(domain, order))
 
 
@@ -414,13 +392,14 @@ def is_single_crossing(prefs: Sequence[Sequence[str]],
     preference in the sequence ranks x above y, every later one must too.
     """
     order = [str(a) for a in global_order]
+    index = {a: i for i, a in enumerate(order)}
     ranks = []
     for pref in prefs:
         if sorted(pref) != sorted(order):
             raise DomainMismatchError(
                 "every preference must rank the same alternatives")
-        ranks.append({a: i for i, a in enumerate(pref)})
-    for x, y in itertools.combinations(order, 2):  # x ranked above y
+        ranks.append(order_ranks([index[a] for a in pref], len(order)))
+    for x, y in itertools.combinations(range(len(order)), 2):  # x above y
         agreed = False
         for r in ranks:
             if r[x] < r[y]:

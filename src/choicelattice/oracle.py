@@ -1,47 +1,34 @@
-"""Brute-force reference implementations.
+"""Exact linear feasibility and exhaustive enumerators.
 
-These live in the shipped library (not in the test tree) so the CLI can run
-oracle cross-checks next to the fast paths.  Everything is exhaustive or
-exact; budgets keep the combinatorics at desk scale.
+``exact_feasible`` is the exact simplex behind ``in_delta``.  The two
+enumerators list every choice function of a domain and every strict order
+of a symbol set; the tests use them as brute-force references.
 """
 
 from __future__ import annotations
 
 import itertools
-import random as _stdrandom
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import ChoiceDomain, ChoiceError, GuardError, PrimitiveOrderings
+from .core import ChoiceDomain, ChoiceError, GuardError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-
-@dataclass(frozen=True)
-class EnumerationBudget:
-    max_functions: int = 1_000_000
-    max_variables: int = 10_000
-
-    def __post_init__(self) -> None:
-        if self.max_functions <= 0 or self.max_variables <= 0:
-            raise ChoiceError("budgets must be positive")
+FUNCTION_GUARD = 1_000_000
 
 
-DEFAULT_BUDGET = EnumerationBudget()
-
-
-def all_choice_functions(domain: ChoiceDomain,
-                         budget: EnumerationBudget = DEFAULT_BUDGET):
+def all_choice_functions(domain: ChoiceDomain):
     """Every choice function of the domain (cartesian product of picks)."""
     from .models import ChoiceModel
 
     total = 1
     for s in domain.sets:
         total *= len(s)
-    if total > budget.max_functions:
-        raise GuardError(f"{total} choice functions exceed the budget")
+    if total > FUNCTION_GUARD:
+        raise GuardError(f"{total} choice functions exceed the guard "
+                         f"of {FUNCTION_GUARD}")
     return ChoiceModel.from_picks(domain, itertools.product(*domain.sets))
 
 
@@ -55,60 +42,20 @@ def all_orderings(symbols: Sequence[str]) -> tuple[tuple[str, ...], ...]:
     return tuple(itertools.permutations(tuple(str(s) for s in symbols)))
 
 
-def _coerce_system(matrix, rhs, relations, nonneg):
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    b = [Fraction(v) for v in rhs]
-    if len(rows) != len(b) or len(rows) != len(relations):
-        raise ChoiceError("matrix, rhs, and relation tags must align")
-    ncols = len(rows[0]) if rows else 0
-    if any(len(r) != ncols for r in rows):
-        raise ChoiceError("ragged constraint matrix")
-    if len(nonneg) != ncols:
-        raise ChoiceError("one nonnegativity flag per variable is required")
-    for rel in relations:
-        if rel not in ("eq", "le"):
-            raise ChoiceError(f"unknown relation tag {rel!r}")
-    return rows, b, ncols
-
-
-def exact_feasible(matrix, rhs, relations: Sequence[str],
-                   nonneg: Sequence[bool]) -> list[Fraction] | None:
-    """Exact rational solution of A x (=|<=) b, or None when infeasible.
+def exact_feasible(matrix, rhs) -> list[Fraction] | None:
+    """Exact rational solution of A x = b with x >= 0, or None when infeasible.
 
     Phase-one simplex with Bland's rule: deterministic, cycle-free, no
-    floating point anywhere.  Free variables are split into differences of
-    nonnegative ones.
+    floating point anywhere.
     """
-    rows, b, ncols = _coerce_system(matrix, rhs, relations, nonneg)
-    if ncols > DEFAULT_BUDGET.max_variables:
-        raise GuardError("variable count exceeds the budget")
-
-    # Column layout: splits for each original variable, then slacks.
-    col_of: list[tuple[int, int | None]] = []  # (plus column, minus column)
-    cols = 0
-    for j in range(ncols):
-        if nonneg[j]:
-            col_of.append((cols, None))
-            cols += 1
-        else:
-            col_of.append((cols, cols + 1))
-            cols += 2
-    nslack = sum(1 for rel in relations if rel == "le")
-    width = cols + nslack
-
+    if len(matrix) != len(rhs):
+        raise ChoiceError("matrix and rhs must align")
+    width = len(matrix[0]) if matrix else 0
     tableau: list[list[Fraction]] = []
-    slack_seen = 0
-    for i, row in enumerate(rows):
-        line = [ZERO] * (width + 1)
-        for j, v in enumerate(row):
-            plus, minus = col_of[j]
-            line[plus] += v
-            if minus is not None:
-                line[minus] -= v
-        if relations[i] == "le":
-            line[cols + slack_seen] = ONE
-            slack_seen += 1
-        line[width] = b[i]
+    for row, b in zip(matrix, rhs):
+        if len(row) != width:
+            raise ChoiceError("ragged constraint matrix")
+        line = [Fraction(v) for v in row] + [Fraction(b)]
         if line[width] < 0:
             line = [-v for v in line]
         tableau.append(line)
@@ -152,80 +99,8 @@ def exact_feasible(matrix, rhs, relations: Sequence[str],
     if obj[total] != 0:
         return None
 
-    values = [ZERO] * width
+    solution = [ZERO] * width
     for i, var in enumerate(basis):
         if var < width:
-            values[var] = tableau[i][total]
-    solution = []
-    for j in range(ncols):
-        plus, minus = col_of[j]
-        solution.append(values[plus] - (values[minus] if minus is not None else ZERO))
+            solution[var] = tableau[i][total]
     return solution
-
-
-ELIMINATION_ROW_GUARD = 200_000
-
-
-def feasible_by_elimination(matrix, rhs, relations: Sequence[str],
-                            nonneg: Sequence[bool]) -> bool:
-    """Variable-by-variable projection (Fourier-Motzkin) feasibility check.
-
-    Second, independent route for small systems; pairs with exact_feasible.
-    """
-    rows, b, ncols = _coerce_system(matrix, rhs, relations, nonneg)
-    ineqs: list[tuple[list[Fraction], Fraction]] = []
-    for row, bb, rel in zip(rows, b, relations):
-        ineqs.append((list(row), bb))
-        if rel == "eq":
-            ineqs.append(([-v for v in row], -bb))
-    for j, flag in enumerate(nonneg):
-        if flag:
-            row = [ZERO] * ncols
-            row[j] = -ONE
-            ineqs.append((row, ZERO))
-
-    for j in range(ncols):
-        pos = [(r, c) for r, c in ineqs if r[j] > 0]
-        neg = [(r, c) for r, c in ineqs if r[j] < 0]
-        rest = [(r, c) for r, c in ineqs if r[j] == 0]
-        for rp, cp in pos:
-            for rn, cn in neg:
-                scale_p, scale_n = -rn[j], rp[j]
-                row = [scale_p * a + scale_n * bb for a, bb in zip(rp, rn)]
-                rest.append((row, scale_p * cp + scale_n * cn))
-        if len(rest) > ELIMINATION_ROW_GUARD:
-            raise GuardError("projection blow-up exceeds the guard")
-        ineqs = rest
-    return all(c >= 0 for _, c in ineqs)
-
-
-def naive_self_progressive(model, ordering: PrimitiveOrderings,
-                           samples: int = 200, seed: int = 0) -> bool:
-    """One-sided check that decompositions never escape the model.
-
-    Runs the deterministic pair test (the even mixture of any two members
-    must decompose inside the model) plus seeded random rational mixtures.
-    A single escape refutes self-progressiveness; all-pass is evidence, not
-    proof, except that the pair test alone already decides the lattice
-    property.
-    """
-    from .random_choice import compose, decompose_progressive
-
-    members = model.picks_set()
-    half = Fraction(1, 2)
-    fns = model.functions
-    for c1, c2 in itertools.combinations(fns, 2):
-        rep = decompose_progressive(compose({c1: half, c2: half}), ordering)
-        if any(c.picks not in members for c in rep.functions()):
-            return False
-    rng = _stdrandom.Random(seed)
-    for _ in range(samples):
-        k = rng.randint(1, min(4, len(fns)))
-        chosen = rng.sample(fns, k)
-        raw = [rng.randint(1, 9) for _ in range(k)]
-        total = sum(raw)
-        dist = {c: Fraction(w, total) for c, w in zip(chosen, raw)}
-        rep = decompose_progressive(compose(dist), ordering)
-        if any(c.picks not in members for c in rep.functions()):
-            return False
-    return True

@@ -1,6 +1,6 @@
 """The cumulative-monotonicity inequality system and its polytope.
 
-Materializes the four row families bounding cumulative random choice,
+Materializes the five row families bounding cumulative random choice,
 checks the two-nonzero opposite-sign condition that certifies total
 unimodularity, and enumerates polytope vertices exactly at tiny scale as
 an integrality oracle.
@@ -18,8 +18,8 @@ from .core import (
     ChoiceError,
     ChoiceFunction,
     GuardError,
+    order_ranks,
 )
-from .models import _global_rank
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -30,7 +30,7 @@ class ConstraintSystem:
     """Rows of {-1, 0, +1} coefficients over (alternative, set) columns.
 
     ``columns[k] = (set_position, alternative)``; row ``tags`` name the
-    inequality family (1-4) that generated each row.
+    inequality family (1-5) that generated each row.
     """
 
     domain: ChoiceDomain = field(hash=False)
@@ -71,17 +71,23 @@ class ConstraintSystem:
 
 def build_constraints(domain: ChoiceDomain,
                       global_order: Sequence[str]) -> ConstraintSystem:
-    """Instantiate row families (1)-(4) over every (alternative, set) column.
+    """Instantiate row families (1)-(5) over every (alternative, set) column.
 
-    (1) removing an alternative below y cannot lower the cumulative at y;
-    (2) removing one above y cannot raise it; (3) the cumulative grows
-    weakly down each set's ranking; (4) it is capped by one at the worst
-    member.  Right-hand sides are 0 for (1)-(3) and 1 for (4).
+    Column (y, S) holds the mass strictly above y in S.  For y and x in S:
+    (1) when x is below y, removing x cannot lower the mass at or above y,
+    which is the column of y's successor (the row is skipped when y is the
+    worst member of S minus x, where that mass is one);
+    (2) when x is above y, removing x cannot raise the mass above y;
+    (3) the cumulative grows weakly down each set's ranking; (4) it is
+    capped by one at the worst member; (5) it is zero at the best member.
+    Right-hand sides are 1 for (4) and 0 for the rest.
     """
     domain.require_full("the constraint system")
-    grank = _global_rank(domain, global_order)
+    order = domain.order_index(global_order)
+    grank = order_ranks(order, domain.n)
     alts = domain.alternatives
     ranked_sets = [sorted(s, key=grank.__getitem__) for s in domain.sets]
+    succ = [dict(zip(s, s[1:])) for s in ranked_sets]
     columns = tuple((si, x) for si, s in enumerate(ranked_sets) for x in s)
     col = {pair: k for k, pair in enumerate(columns)}
     width = len(columns)
@@ -108,27 +114,22 @@ def build_constraints(domain: ChoiceDomain,
                 if x == y or x not in removal:
                     continue
                 sub = removal[x]
-                if grank[y] < grank[x]:
-                    add([(col[(si, y)], 1), (col[(sub, y)], -1)], 0,
-                        f"1 S={name(si)} y={alts[y]} x={alts[x]}")
-    for si, s in enumerate(ranked_sets):
-        removal = domain.removal_position[si]
-        for y in s:
-            for x in s:
-                if x == y or x not in removal:
-                    continue
-                sub = removal[x]
                 if grank[x] < grank[y]:
                     add([(col[(sub, y)], 1), (col[(si, y)], -1)], 0,
                         f"2 S={name(si)} y={alts[y]} x={alts[x]}")
+                elif y in succ[sub]:
+                    add([(col[(si, succ[si][y])], 1),
+                         (col[(sub, succ[sub][y])], -1)], 0,
+                        f"1 S={name(si)} y={alts[y]} x={alts[x]}")
     for si, s in enumerate(ranked_sets):
-        for x, below in zip(s, s[1:]):
+        for x, below in succ[si].items():
             add([(col[(si, x)], 1), (col[(si, below)], -1)], 0,
                 f"3 S={name(si)} x={alts[x]}")
     for si, s in enumerate(ranked_sets):
         add([(col[(si, s[-1])], 1)], 1, f"4 S={name(si)}")
+    for si, s in enumerate(ranked_sets):
+        add([(col[(si, s[0])], 1)], 0, f"5 S={name(si)}")
 
-    order = tuple(domain.index[str(a)] for a in global_order)
     return ConstraintSystem(domain, order, columns,
                             tuple(rows), tuple(rhs), tuple(tags))
 
@@ -275,9 +276,7 @@ def function_vertex(system: ConstraintSystem,
     in the system's column order."""
     if c.domain != system.domain:
         raise ChoiceError("function lives on a different domain")
-    grank = [0] * system.domain.n
-    for pos, x in enumerate(system.global_order):
-        grank[x] = pos
+    grank = order_ranks(system.global_order, system.domain.n)
     return tuple(ONE if grank[c.picks[si]] < grank[x] else ZERO
                  for si, x in system.columns)
 
@@ -291,9 +290,7 @@ def vertex_function(system: ConstraintSystem,
     member of some set) are not cumulatives of any function: None.
     """
     dom = system.domain
-    grank = [0] * dom.n
-    for pos, x in enumerate(system.global_order):
-        grank[x] = pos
+    grank = order_ranks(system.global_order, dom.n)
     per_set: dict[int, list[tuple[int, Fraction]]] = {}
     for (si, x), v in zip(system.columns, point):
         per_set.setdefault(si, []).append((x, v))

@@ -7,7 +7,6 @@ no tolerance at all.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -21,8 +20,9 @@ from .core import (
     GuardError,
     PrimitiveOrderings,
     compare_picks,
+    order_ranks,
 )
-from .models import ChoiceModel, _global_rank, satisfies_theta
+from .models import ChoiceModel, theta_violation
 from .oracle import exact_feasible
 
 ZERO = Fraction(0)
@@ -65,32 +65,29 @@ class RandomChoiceFunction:
     def from_table(cls, domain: ChoiceDomain,
                    table: Mapping) -> "RandomChoiceFunction":
         """Build from {(set symbols tuple/frozenset, symbol): weight}."""
-        idx = domain.index
         rows = [[ZERO] * len(s) for s in domain.sets]
         for (members, symbol), p in table.items():
-            key = tuple(sorted(idx[str(m)] for m in members))
-            pos = domain.set_position.get(key)
-            if pos is None:
-                raise DomainMismatchError(f"{tuple(members)!r} is not a domain set")
-            x = idx[str(symbol)]
-            if x not in domain.sets[pos]:
-                raise ChoiceError(f"{symbol!r} is not a member of {tuple(members)!r}")
-            rows[pos][domain.sets[pos].index(x)] = as_fraction(p)
+            pos, i = _slot(domain, members, symbol)
+            rows[pos][i] = as_fraction(p)
         return cls(domain, tuple(tuple(r) for r in rows))
 
     def probability(self, members: Iterable[str], symbol: str) -> Fraction:
-        idx = self.domain.index
-        key = tuple(sorted(idx[str(m)] for m in members))
-        pos = self.domain.set_position.get(key)
-        if pos is None:
-            raise DomainMismatchError(f"{tuple(members)!r} is not a domain set")
-        x = idx[str(symbol)]
-        if x not in self.domain.sets[pos]:
-            raise ChoiceError(f"{symbol!r} is not a member of {tuple(members)!r}")
-        return self.probs[pos][self.domain.sets[pos].index(x)]
+        pos, i = _slot(self.domain, members, symbol)
+        return self.probs[pos][i]
 
     def prob_by_index(self, set_position: int, x: int) -> Fraction:
         return self.probs[set_position][self.domain.sets[set_position].index(x)]
+
+
+def _slot(domain: ChoiceDomain, members: Iterable[str],
+          symbol: str) -> tuple[int, int]:
+    """Set position and member position of a symbol in a choice set."""
+    members = tuple(members)
+    pos = domain.position(members)
+    x = domain.index.get(str(symbol))
+    if x not in domain.sets[pos]:
+        raise ChoiceError(f"{symbol!r} is not a member of {members!r}")
+    return pos, domain.sets[pos].index(x)
 
 
 @dataclass(frozen=True)
@@ -162,17 +159,26 @@ def cumulative(rcf: RandomChoiceFunction,
                global_order: Sequence[str]) -> CumulativeRCF:
     """Cumulative form: value at (y, S) sums the weight strictly above y."""
     dom = rcf.domain
-    grank = _global_rank(dom, global_order)
-    values = []
-    for s, row in zip(dom.sets, rcf.probs):
+    grank = order_ranks(dom.order_index(global_order), dom.n)
+    strict, _ = _cumulatives(rcf, grank)
+    return CumulativeRCF(dom, tuple(tuple(row) for row in strict))
+
+
+def _cumulatives(rcf: RandomChoiceFunction, grank: Sequence[int]):
+    """Per (set, member): mass strictly above, and mass at or above."""
+    strict, weak = [], []
+    for s, row in zip(rcf.domain.sets, rcf.probs):
         by_rank = sorted(range(len(s)), key=lambda i: grank[s[i]])
-        out = [ZERO] * len(s)
+        up = [ZERO] * len(s)
+        at = [ZERO] * len(s)
         acc = ZERO
         for i in by_rank:
-            out[i] = acc
+            up[i] = acc
             acc += row[i]
-        values.append(tuple(out))
-    return CumulativeRCF(dom, tuple(values))
+            at[i] = acc
+        strict.append(up)
+        weak.append(at)
+    return strict, weak
 
 
 def decompose_progressive(rcf: RandomChoiceFunction,
@@ -259,8 +265,7 @@ def in_delta(rcf: RandomChoiceFunction, model: ChoiceModel
             rhs.append(rcf.probs[si][pos])
     rows.append([ONE] * len(functions))
     rhs.append(ONE)
-    solution = exact_feasible(rows, rhs, ["eq"] * len(rows),
-                              [True] * len(functions))
+    solution = exact_feasible(rows, rhs)
     if solution is None:
         return False, None
     return True, {c: w for c, w in zip(functions, solution) if w != 0}
@@ -274,23 +279,6 @@ class RThetaViolation:
     removed: str
     fixed: str
     axiom: str  # "rtheta1" or "rtheta2"
-
-
-def _two_cumulatives(rcf: RandomChoiceFunction, grank: Sequence[int]):
-    """Per (set, member): mass strictly above, and weakly at-or-above."""
-    strict, weak = [], []
-    for s, row in zip(rcf.domain.sets, rcf.probs):
-        by_rank = sorted(range(len(s)), key=lambda i: grank[s[i]])
-        up = [ZERO] * len(s)
-        at = [ZERO] * len(s)
-        acc = ZERO
-        for i in by_rank:
-            up[i] = acc
-            acc += row[i]
-            at[i] = acc
-        strict.append(up)
-        weak.append(at)
-    return strict, weak
 
 
 def satisfies_rtheta(rcf: RandomChoiceFunction, global_order: Sequence[str]
@@ -307,8 +295,8 @@ def satisfies_rtheta(rcf: RandomChoiceFunction, global_order: Sequence[str]
     """
     dom = rcf.domain
     dom.require_full("the random theta axioms")
-    grank = _global_rank(dom, global_order)
-    strict, weak = _two_cumulatives(rcf, grank)
+    grank = order_ranks(dom.order_index(global_order), dom.n)
+    strict, weak = _cumulatives(rcf, grank)
     alts = dom.alternatives
     for si, s in enumerate(dom.sets):
         if len(s) < 3:
@@ -347,8 +335,7 @@ def decompose_theta(rcf: RandomChoiceFunction,
     ordering = PrimitiveOrderings.from_global(rcf.domain, global_order)
     rep = decompose_progressive(rcf, ordering)
     for c in rep.functions():
-        passed, _ = satisfies_theta(c, global_order)
-        if not passed:
+        if theta_violation(c.picks, rcf.domain, ordering.global_rank) is not None:
             raise AssertionError(
                 "a decomposition component escaped the minimal extension; "
                 "this is an implementation bug")

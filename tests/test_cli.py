@@ -1,0 +1,185 @@
+"""Golden tests of the command line: every subcommand and every exit code.
+
+Each case runs twice in process.  Both runs must give the same exit code,
+stderr and stdout bytes, and stdout must equal the output recorded for the
+case in ``cli_golden.json``.  Inputs are written to a fresh directory, and
+the commands name them by relative path, so error messages do not depend on
+where the tests run.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from choicelattice import cli
+
+from conftest import RATIONAL3, THETA3
+
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json")
+                    .read_text(encoding="utf-8"))
+
+SETS3 = (("a", "b", "c"), ("a", "b"), ("a", "c"), ("b", "c"))
+PAIRS3 = SETS3[1:]
+
+
+def _explicit(text, sets=SETS3):
+    return {"picks": [{"set": list(s), "x": x} for s, x in zip(sets, text)]}
+
+
+def _rcf(table):
+    return {"alternatives": ["a", "b", "c"],
+            "probs": [{"set": list(s), "x": x, "p": p} for s, x, p in table]}
+
+
+def _per_set(rankings):
+    return {"per_set": [{"set": sorted(r), "rank": list(r)} for r in rankings]}
+
+
+THIRD = "1/3"
+INPUTS = {
+    "ord.json": {"global": ["a", "b", "c"]},
+    "per_set.json": _per_set(["bac", "ab", "ca", "bc"]),
+    "ord_unknown.json": {"global": ["a", "b", "z"]},
+    "ord_partial.json": {"global": ["a", "b"]},
+    "ord_nokey.json": {"order": ["a", "b", "c"]},
+    "ord_extra_set.json": _per_set(["ab", "ac", "bc", "abc"]),
+    "not_json.json": '{"global": [',
+    "theta.json": {"sets": [list(s) for s in SETS3],
+                   "functions": sorted(THETA3)},
+    "rational.json": {"sets": [list(s) for s in SETS3],
+                      "functions": [list(t) for t in sorted(RATIONAL3)]},
+    "example1.json": {"functions": [_explicit(t) for t in
+                                    ("aaab", "abab", "aaac", "abac")]},
+    "chain.json": {"sets": [list(s) for s in SETS3],
+                   "functions": ["aaab", "abab", "abac"]},
+    "betweenness_fail.json": {"sets": [list(s) for s in SETS3],
+                              "functions": ["baab", "abab"]},
+    "bad_pick.json": {"sets": [list(s) for s in SETS3],
+                      "functions": ["aaab", "aaaa"]},
+    "no_functions.json": {"sets": [list(s) for s in SETS3]},
+    "pairs.json": {"functions": [_explicit(t, PAIRS3) for t in ("aab", "bac")]},
+    "pairs_extra_set.json": {"functions": [
+        _explicit("aab", PAIRS3),
+        {"picks": _explicit("bac", PAIRS3)["picks"]
+         + [{"set": ["a", "b", "c"], "x": "a"}]}]},
+    # Example 1 of the paper: it breaks the random axioms under a > b > c.
+    "rcf.json": _rcf([("abc", "a", "1"), ("ab", "a", "2/3"), ("ab", "b", THIRD),
+                      ("ac", "a", "1"), ("bc", "b", "2/3"), ("bc", "c", THIRD)]),
+    # The even mixture of aaab and bbcc, both in the theta model.
+    "rcf_theta.json": _rcf([("abc", "a", "1/2"), ("abc", "b", "1/2"),
+                            ("ab", "a", "1/2"), ("ab", "b", "1/2"),
+                            ("ac", "a", "1/2"), ("ac", "c", "1/2"),
+                            ("bc", "b", "1")]),
+    "bad_mass.json": _rcf([("abc", "a", "1"), ("ab", "a", "1/2"),
+                           ("ac", "a", "1"), ("bc", "b", "1")]),
+    "bad_symbol.json": _rcf([("abc", "a", "1"), ("ab", "a", "1"),
+                             ("ac", "z", "1"), ("bc", "b", "1")]),
+}
+
+# name: (argv, exit code, stderr)
+CASES = {
+    "decompose": (["decompose", "rcf.json", "ord.json"], 0, ""),
+    "decompose_per_set": (["decompose", "rcf.json", "per_set.json"], 0, ""),
+    "check_lattice_pass": (["check", "example1.json", "ord.json", "--lattice"], 0, ""),
+    "check_lattice_fail": (["check", "rational.json", "ord.json", "--lattice"], 1, ""),
+    "check_theta_pass": (["check", "theta.json", "ord.json", "--theta"], 0, ""),
+    "check_theta_fail": (["check", "example1.json", "ord.json", "--theta"], 1, ""),
+    "check_rtheta_pass": (["check", "rcf_theta.json", "ord.json", "--rtheta"], 0, ""),
+    "check_rtheta_fail": (["check", "rcf.json", "ord.json", "--rtheta"], 1, ""),
+    "check_mixture_pass": (["check", "example1.json", "--mixture"], 0, ""),
+    "check_mixture_fail": (["check", "rational.json", "--mixture"], 1, ""),
+    "check_chain_pass": (["check", "chain.json", "ord.json", "--chain"], 0, ""),
+    "check_chain_fail": (["check", "example1.json", "per_set.json", "--chain"], 1, ""),
+    "check_pairs": (["check", "pairs.json", "--mixture"], 1, ""),
+    "closure": (["closure", "example1.json", "per_set.json"], 0, ""),
+    "closure_oracle": (["closure", "rational.json", "ord.json", "--oracle"], 0, ""),
+    "closure_oracle_skipped": (
+        ["closure", "example1.json", "ord.json", "--oracle"], 0,
+        "oracle check skipped: input is not the rational model of a full "
+        "domain with a global order\n"),
+    "identify": (["identify", "theta.json"], 0, ""),
+    "identify_none": (["identify", "betweenness_fail.json"], 1, ""),
+    "hasse": (["hasse", "theta.json", "ord.json"], 0, ""),
+    "generate_default": (["generate"], 0, ""),
+    "generate_random": (["generate", "--kind", "random", "--alternatives",
+                         "a,b,c,d", "--seed", "3", "--size", "5"], 0, ""),
+    "generate_rational": (["generate", "--kind", "rational"], 0, ""),
+    "generate_theta": (["generate", "--kind", "theta", "--order", "c>a>b"], 0, ""),
+    "error_not_json": (
+        ["check", "rational.json", "not_json.json", "--lattice"], 2,
+        "error: not_json.json is not valid JSON: Expecting value: "
+        "line 1 column 13 (char 12)\n"),
+    "error_missing_file": (
+        ["hasse", "missing.json", "ord.json"], 2,
+        "error: cannot read missing.json: [Errno 2] No such file or "
+        "directory: 'missing.json'\n"),
+    "error_missing_key": (["identify", "no_functions.json"], 2,
+                          "error: no_functions.json: missing key 'functions'\n"),
+    "error_orderings_key": (
+        ["check", "rational.json", "ord_nokey.json", "--lattice"], 2,
+        "error: ord_nokey.json: orderings need a 'global' or 'per_set' key\n"),
+    "error_unknown_alternative": (
+        ["check", "rational.json", "ord_unknown.json", "--lattice"], 2,
+        "error: unknown alternative 'z'\n"),
+    "error_no_orderings": (["check", "rational.json", "--lattice"], 2,
+                           "error: this check needs an orderings file\n"),
+    "invariant_partial_order": (
+        ["check", "rational.json", "ord_partial.json", "--lattice"], 3,
+        "error: global order must rank every alternative exactly once\n"),
+    "invariant_mass": (["decompose", "bad_mass.json", "ord.json"], 3,
+                       "error: probabilities over (0, 1) sum to 1/2, not 1\n"),
+    "invariant_pick": (["check", "bad_pick.json", "ord.json", "--chain"], 3,
+                       "error: pick 0 is not a member of choice set (1, 2)\n"),
+    "invariant_rcf_symbol": (["decompose", "bad_symbol.json", "ord.json"], 3,
+                             "error: 'z' is not a member of ('a', 'c')\n"),
+    "usage_rtheta_no_orderings": (["check", "rcf.json", "--rtheta"], 2,
+                                  "error: this check needs an orderings file\n"),
+    "usage_theta_per_set": (
+        ["check", "theta.json", "per_set.json", "--theta"], 2,
+        "error: --theta needs a global ordering, not per-set orderings\n"),
+    "usage_rtheta_per_set": (
+        ["check", "rcf_theta.json", "per_set.json", "--rtheta"], 2,
+        "error: --rtheta needs a global ordering, not per-set orderings\n"),
+    "schema_model_set_outside_domain": (
+        ["check", "pairs_extra_set.json", "--mixture"], 2,
+        "error: pairs_extra_set.json: ('a', 'b', 'c') is not a domain set\n"),
+    "schema_orderings_set_outside_domain": (
+        ["check", "pairs.json", "ord_extra_set.json", "--lattice"], 2,
+        "error: ord_extra_set.json: ('a', 'b', 'c') is not a domain set\n"),
+}
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    for name, content in INPUTS.items():
+        text = content if isinstance(content, str) else json.dumps(content)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def _run(capsys, argv):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(workdir, capsys, name):
+    argv, code, stderr = CASES[name]
+    first = _run(capsys, argv)
+    assert first == (code, GOLDEN[name], stderr)
+    assert _run(capsys, argv) == first
+
+
+def test_usage_error_exits_2(workdir, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "theta.json", "ord.json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "choicelattice check: error: one of the arguments --lattice --theta "
+        "--rtheta --mixture --chain is required")

@@ -85,9 +85,10 @@ class TestClosure:
 
 class TestChain:
     def test_examples(self, dom3, ord3):
-        assert is_chain(model(dom3, "aaab", "abab", "abac"), ord3)
-        assert not is_chain(model(dom3, "abab", "aaac"), ord3)
-        assert is_chain(model(dom3, "bacb"), ord3)
+        assert is_chain(model(dom3, "aaab", "abab", "abac"), ord3) == (True, None)
+        pair = model(dom3, "abab", "aaac")
+        assert is_chain(pair, ord3) == (False, pair.functions)
+        assert is_chain(model(dom3, "bacb"), ord3)[0]
 
 
 class TestRationalize:
@@ -264,7 +265,7 @@ class TestSingleCrossing:
                 prefs = rng.sample(orders, rng.randint(2, 4))
                 fns = {tuple(_maximizer(domain, p).picks): p for p in prefs}
                 m = ChoiceModel.from_picks(domain, fns)
-                chain = is_chain(m, ordering)
+                chain = is_chain(m, ordering)[0]
                 # dominance-ascending sort: later functions pick better
                 rank = ordering.rank
                 def score(c):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,37 +11,29 @@ from choicelattice import (
     all_choice_functions,
     all_orderings,
     build_constraints,
+    compose,
     cumulative,
-    deterministic,
     enumerate_vertices,
     function_vertex,
     heller_check,
+    satisfies_rtheta,
     theta_model,
     vertex_function,
 )
 from choicelattice.polytope import _int_det, sample_subdeterminants
 
 from conftest import ABC
+from test_random_choice import random_rcf
 
 F = Fraction
 
 
-def _strict_rtheta_ok(c, domain, symbols):
-    """Literal reading of the cumulative axioms: both over the
-    strictly-above cumulative.  This is exactly what rows (1)/(2) encode."""
-    grank = {a: i for i, a in enumerate(symbols)}
-    cum = cumulative(deterministic(c), symbols)
-    for si, s in enumerate(domain.sets):
-        for x, sub in domain.removal_position[si].items():
-            for y in s:
-                if y == x:
-                    continue
-                if grank[domain.alternatives[y]] < grank[domain.alternatives[x]]:
-                    if cum.value(sub, y) < cum.value(si, y):
-                        return False
-                elif cum.value(si, y) < cum.value(sub, y):
-                    return False
-    return True
+def _feasible_points(system, points):
+    """The points that satisfy every row, with rows read sparsely."""
+    sparse = [([(k, v) for k, v in enumerate(row) if v], b)
+              for row, b in zip(system.rows, system.rhs)]
+    return {p for p in points
+            if all(sum(v * p[k] for k, v in row) <= b for row, b in sparse)}
 
 
 class TestBuildConstraints:
@@ -48,12 +41,12 @@ class TestBuildConstraints:
         domain = ChoiceDomain.full("ab")
         system = build_constraints(domain, "ab")
         assert len(system.columns) == 2
-        assert len(system.rows) == 2
-        assert [t.split()[0] for t in system.tags] == ["3", "4"]
-        # q(a) <= q(b) and q(b) <= 1, columns ranked best first
+        assert len(system.rows) == 3
+        assert [t.split()[0] for t in system.tags] == ["3", "4", "5"]
+        # q(a) <= q(b), q(b) <= 1 and q(a) <= 0, columns ranked best first
         assert system.columns == ((0, 0), (0, 1))
-        assert system.rows == ((1, -1), (0, 1))
-        assert system.rhs == (0, 1)
+        assert system.rows == ((1, -1), (0, 1), (1, 0))
+        assert system.rhs == (0, 1, 0)
 
     def test_n3_column_count(self, dom3):
         system = build_constraints(dom3, ABC)
@@ -61,14 +54,15 @@ class TestBuildConstraints:
         by_tag = {}
         for t in system.tags:
             by_tag[t.split()[0]] = by_tag.get(t.split()[0], 0) + 1
-        assert by_tag == {"1": 3, "2": 3, "3": 5, "4": 4}
+        # family (1) skips y = b, x = c: b is the worst member of {a, b}
+        assert by_tag == {"1": 2, "2": 3, "3": 5, "4": 4, "5": 4}
 
     def test_row_shapes(self, dom3, dom4):
         for domain, symbols in ((dom3, ABC), (dom4, tuple("abcd"))):
             system = build_constraints(domain, symbols)
             for row, tag in zip(system.rows, system.tags):
                 nonzero = [v for v in row if v != 0]
-                if tag.startswith("4"):
+                if tag[0] in "45":
                     assert nonzero == [1]
                 else:
                     assert sorted(nonzero) == [-1, 1]
@@ -120,7 +114,7 @@ class TestVertices:
         domain = ChoiceDomain.full("ab")
         system = build_constraints(domain, "ab")
         points = enumerate_vertices(system)
-        assert points == ((F(0), F(0)), (F(0), F(1)), (F(1), F(1)))
+        assert points == ((F(0), F(0)), (F(0), F(1)))
 
     def test_n3_all_zero_one(self, dom3):
         system = build_constraints(dom3, ABC)
@@ -153,12 +147,45 @@ class TestVertices:
         with pytest.raises(GuardError):
             enumerate_vertices(build_constraints(dom4, tuple("abcd")))
 
-    def test_feasibility_matches_literal_axioms(self, dom3):
-        # row semantics: a deterministic cumulative is feasible exactly when
-        # the literal (strictly-above) reading of both axioms holds
+    def test_n3_every_vertex_is_a_function(self, dom3):
         system = build_constraints(dom3, ABC)
-        for c in all_choice_functions(dom3).functions:
-            vec = function_vertex(system, c)
-            feasible = all(sum(cf * v for cf, v in zip(row, vec)) <= b
-                           for row, b in zip(system.rows, system.rhs))
-            assert feasible == _strict_rtheta_ok(c, dom3, ABC)
+        points = enumerate_vertices(system)
+        assert len(points) == 12
+        assert all(vertex_function(system, p) is not None for p in points)
+
+    def test_binary_points_are_the_theta_model(self, dom3, dom4):
+        # n = 3: every 0/1 point of the box, under every order
+        for order in all_orderings(ABC):
+            system = build_constraints(dom3, order)
+            points = itertools.product((0, 1), repeat=len(system.columns))
+            assert ({vertex_function(system, p).picks
+                     for p in _feasible_points(system, points)}
+                    == theta_model(dom3, order).picks_set())
+        # n = 4: rows (3) and (5) leave only the cumulatives of functions
+        order = tuple("abcd")
+        system = build_constraints(dom4, order)
+        vectors = {function_vertex(system, c): c.picks
+                   for c in all_choice_functions(dom4).functions}
+        assert ({vectors[p] for p in _feasible_points(system, vectors)}
+                == theta_model(dom4, order).picks_set())
+
+    def test_feasible_cumulatives_satisfy_rtheta(self, dom3, dom4):
+        rng = random.Random(12)
+        answers = set()
+        for domain, order in ((dom3, ABC), (dom4, tuple("abcd"))):
+            system = build_constraints(domain, order)
+            theta = theta_model(domain, order).functions
+            for trial in range(40):
+                if trial % 2:
+                    rho = random_rcf(domain, rng, max_den=3)
+                else:
+                    members = rng.sample(theta, rng.randint(1, 4))
+                    weights = [rng.randint(1, 5) for _ in members]
+                    rho = compose({c: F(w, sum(weights))
+                                   for c, w in zip(members, weights)})
+                cum = cumulative(rho, order)
+                point = tuple(cum.value(si, x) for si, x in system.columns)
+                feasible = bool(_feasible_points(system, [point]))
+                assert feasible == satisfies_rtheta(rho, order)[0]
+                answers.add(feasible)
+        assert answers == {True, False}
