@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 
 class ChoiceError(Exception):
@@ -197,9 +197,11 @@ class PrimitiveOrderings:
         if self.global_order is not None:
             if tuple(sorted(self.global_order)) != tuple(range(dom.n)):
                 raise ChoiceError("global order must rank every alternative once")
+            # a permutation of s is the restriction iff its global ranks ascend
+            grank = order_ranks(self.global_order, dom.n)
             for s, ranking in zip(dom.sets, self.per_set):
-                expect = tuple(x for x in self.global_order if x in set(s))
-                if ranking != expect:
+                ranks = [grank[x] for x in ranking]
+                if ranks != sorted(ranks):
                     raise ChoiceError(
                         f"per-set ranking {ranking!r} is not the restriction "
                         f"of the global order to {s!r}")
@@ -208,7 +210,8 @@ class PrimitiveOrderings:
     def from_global(cls, domain: ChoiceDomain,
                     order: Sequence[str]) -> "PrimitiveOrderings":
         g = domain.order_index(order)
-        per_set = tuple(tuple(x for x in g if x in set(s)) for s in domain.sets)
+        key = order_ranks(g, domain.n).__getitem__
+        per_set = tuple(tuple(sorted(s, key=key)) for s in domain.sets)
         return cls(domain, per_set, g)
 
     @classmethod
@@ -234,15 +237,9 @@ class PrimitiveOrderings:
         return tuple(tuple(order_ranks(ranking, n)) for ranking in self.per_set)
 
     @cached_property
-    def prefer(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """prefer[s][x][y] = the better of members x, y under set s's ranking."""
-        n = self.domain.n
-        table = []
-        for rank_row in self.rank:
-            row = tuple(tuple(x if rank_row[x] < rank_row[y] else y
-                              for y in range(n)) for x in range(n))
-            table.append(row)
-        return tuple(table)
+    def packed(self) -> PackedRanks:
+        """Packs pick vectors into ints for bitwise join, meet and dominance."""
+        return _packed_ranks(self)
 
     @cached_property
     def global_rank(self) -> tuple[int, ...]:
@@ -254,6 +251,58 @@ class PrimitiveOrderings:
         if self.global_order is None:
             raise ChoiceError("this operation needs a single global ordering")
         return tuple(self.domain.alternatives[i] for i in self.global_order)
+
+
+class PackedRanks(NamedTuple):
+    """Pick vectors as ints: field s holds the rank of the pick at set s.
+
+    Each field is ``width`` bits wide with a guard bit above it (``guard``
+    marks the guard bits), so that one big-integer subtraction compares
+    every field at once without borrows crossing fields (SWAR; Warren,
+    *Hacker's Delight*, ch. 2).  A lower rank is a better pick, so ``join``
+    keeps the smaller field and ``meet`` the larger; ``weakly_better(a, b)``
+    is true iff a's rank is <= b's in every field.  Works for per-set
+    orderings as well as global ones.
+    """
+
+    width: int
+    guard: int
+    pack: Callable[[Sequence[int]], int]
+    unpack: Callable[[int], tuple[int, ...]]
+    join: Callable[[int, int], int]
+    meet: Callable[[int, int], int]
+    weakly_better: Callable[[int, int], bool]
+
+
+def _packed_ranks(ordering: PrimitiveOrderings) -> PackedRanks:
+    k = (ordering.domain.n - 1).bit_length()
+    ones = (1 << k) - 1
+    shifts = tuple(range(0, (k + 1) * len(ordering.per_set), k + 1))
+    guard = sum(1 << (shift + k) for shift in shifts)
+    rank, per_set = ordering.rank, ordering.per_set
+
+    def pack(picks):
+        return sum(row[x] << shift for row, x, shift in zip(rank, picks, shifts))
+
+    def unpack(packed):
+        return tuple(ranking[(packed >> shift) & ones]
+                     for ranking, shift in zip(per_set, shifts))
+
+    # The guard bit of a field survives (a | guard) - b iff a's rank >= b's;
+    # g - (g >> k) widens each surviving guard bit to all ones in its field,
+    # and x ^ ((a ^ b) & ge) swaps x for the other operand in those fields.
+    def join(a, b):
+        g = ((a | guard) - b) & guard
+        return a ^ ((a ^ b) & (g - (g >> k)))
+
+    def meet(a, b):
+        g = ((a | guard) - b) & guard
+        return b ^ ((a ^ b) & (g - (g >> k)))
+
+    def weakly_better(a, b):
+        return ((b | guard) - a) & guard == guard
+
+    return PackedRanks(k, guard, pack, unpack, join, meet, weakly_better)
 
 
 @dataclass(frozen=True)
@@ -269,8 +318,11 @@ class ChoiceFunction:
             raise ChoiceError("a choice function must pick from every set")
         for s, x in zip(sets, self.picks):
             if x not in s:
+                alts = self.domain.alternatives
+                pick = alts[x] if x in range(len(alts)) else x
                 raise ChoiceError(
-                    f"pick {x!r} is not a member of choice set {s!r}")
+                    f"pick {pick!r} is not a member of choice set "
+                    f"{self.domain.set_symbols(sets.index(s))!r}")
 
     @classmethod
     def from_symbols(cls, domain: ChoiceDomain,

@@ -52,14 +52,15 @@ class RandomChoiceFunction:
     def __post_init__(self) -> None:
         if len(self.probs) != len(self.domain.sets):
             raise ChoiceError("one probability row per choice set is required")
-        for s, row in zip(self.domain.sets, self.probs):
+        for si, (s, row) in enumerate(zip(self.domain.sets, self.probs)):
             if len(row) != len(s):
                 raise ChoiceError("one probability per set member is required")
             if any(p < 0 for p in row):
                 raise ChoiceError("probabilities must be nonnegative")
             if sum(row) != ONE:
                 raise ChoiceError(
-                    f"probabilities over {s!r} sum to {sum(row)}, not 1")
+                    f"probabilities over {self.domain.set_symbols(si)!r} "
+                    f"sum to {sum(row)}, not 1")
 
     @classmethod
     def from_table(cls, domain: ChoiceDomain,

@@ -41,6 +41,15 @@ def model(domain, *texts):
     return ChoiceModel.from_strings(domain, texts)
 
 
+def random_ordering(rng, domain, per_set):
+    """A random global order, or independent random per-set rankings."""
+    if per_set:
+        return PrimitiveOrderings(domain, tuple(
+            tuple(rng.sample(s, len(s))) for s in domain.sets))
+    order = rng.sample(domain.alternatives, domain.n)
+    return PrimitiveOrderings.from_global(domain, order)
+
+
 @pytest.fixture(scope="session")
 def example1_model(dom3):
     return model(dom3, "aaab", "abab", "aaac", "abac")

@@ -127,10 +127,12 @@ CASES = {
     "invariant_partial_order": (
         ["check", "rational.json", "ord_partial.json", "--lattice"], 3,
         "error: global order must rank every alternative exactly once\n"),
-    "invariant_mass": (["decompose", "bad_mass.json", "ord.json"], 3,
-                       "error: probabilities over (0, 1) sum to 1/2, not 1\n"),
-    "invariant_pick": (["check", "bad_pick.json", "ord.json", "--chain"], 3,
-                       "error: pick 0 is not a member of choice set (1, 2)\n"),
+    "invariant_mass": (
+        ["decompose", "bad_mass.json", "ord.json"], 3,
+        "error: probabilities over ('a', 'b') sum to 1/2, not 1\n"),
+    "invariant_pick": (
+        ["check", "bad_pick.json", "ord.json", "--chain"], 3,
+        "error: pick 'a' is not a member of choice set ('b', 'c')\n"),
     "invariant_rcf_symbol": (["decompose", "bad_symbol.json", "ord.json"], 3,
                              "error: 'z' is not a member of ('a', 'c')\n"),
     "usage_rtheta_no_orderings": (["check", "rcf.json", "--rtheta"], 2,

@@ -18,7 +18,7 @@ from choicelattice import (
 )
 from choicelattice.core import compare_picks, join_picks, meet_picks
 
-from conftest import ABC, fn
+from conftest import ABC, fn, random_ordering
 
 
 def test_domain_canonical_set_order(dom3):
@@ -66,6 +66,19 @@ def test_set_dependent_orderings_supported(dom3):
     assert compare(left, right, ords) is Comparison.DOMINATES
     with pytest.raises(ChoiceError):
         ords.global_symbols()
+
+
+def test_from_global_is_the_restriction():
+    domain = ChoiceDomain.full("abcdefg")
+    order = ("d", "g", "a", "f", "c", "e", "b")
+    ordering = PrimitiveOrderings.from_global(domain, order)
+    for i, ranking in enumerate(ordering.per_set):
+        expect = restrict_ordering(order, domain.set_symbols(i))
+        assert tuple(domain.alternatives[x] for x in ranking) == expect
+    with pytest.raises(ChoiceError):
+        PrimitiveOrderings.from_global(domain, order[:-1])
+    with pytest.raises(DomainMismatchError):
+        PrimitiveOrderings.from_global(domain, order[:-1] + ("z",))
 
 
 def test_choice_function_validation(dom3):
@@ -155,6 +168,36 @@ def test_lattice_laws_randomized_n4_n5(data):
             == join_picks(p, join_picks(q, r, rank), rank))
     assert (meet_picks(meet_picks(p, q, rank), r, rank)
             == meet_picks(p, meet_picks(q, r, rank), rank))
+
+
+@pytest.mark.parametrize("per_set", [False, True])
+@pytest.mark.parametrize("n", range(3, 8))
+def test_packed_ops_match_tuple_ops(n, per_set):
+    rng = random.Random(10 * n + per_set)
+    domain = ChoiceDomain.full("abcdefg"[:n])
+    for _ in range(4):
+        ordering = random_ordering(rng, domain, per_set)
+        packed, rank = ordering.packed, ordering.rank
+        assert packed.width == (n - 1).bit_length()
+        assert packed.pack(tuple(r[0] for r in ordering.per_set)) == 0
+        worst = packed.pack(tuple(r[-1] for r in ordering.per_set))
+        assert worst & packed.guard == 0
+        for _ in range(30):
+            p, q = (tuple(rng.choice(s) for s in domain.sets) for _ in range(2))
+            j, m = join_picks(p, q, rank), meet_picks(p, q, rank)
+            a, b = packed.pack(p), packed.pack(q)
+            assert packed.unpack(a) == p
+            assert packed.unpack(packed.join(a, b)) == j
+            assert packed.unpack(packed.meet(a, b)) == m
+            # random pairs are mostly incomparable; bounds and equal pairs
+            # are not
+            for x, y in ((p, q), (j, p), (q, j), (m, q), (p, m), (p, p)):
+                expect = compare_picks(x, y, rank)
+                px, py = packed.pack(x), packed.pack(y)
+                assert packed.weakly_better(px, py) is (
+                    expect in (Comparison.DOMINATES, Comparison.EQUAL))
+                assert packed.weakly_better(py, px) is (
+                    expect in (Comparison.DOMINATED_BY, Comparison.EQUAL))
 
 
 def test_strict_comparison_transitive_n3(dom3, ord3):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -8,6 +9,7 @@ from choicelattice import (
     ChoiceError,
     ChoiceFunction,
     ChoiceModel,
+    Comparison,
     GuardError,
     PrimitiveOrderings,
     all_choice_functions,
@@ -27,7 +29,10 @@ from choicelattice import (
     theta_model,
 )
 
-from conftest import ABC, RATIONAL3, THETA3, fn, model
+from choicelattice.core import compare_picks, join_picks, meet_picks, order_ranks
+from choicelattice.models import theta_violation
+
+from conftest import ABC, RATIONAL3, THETA3, fn, model, random_ordering
 
 
 def _maximizer(domain, order):
@@ -35,6 +40,113 @@ def _maximizer(domain, order):
     return ChoiceFunction.from_symbols(
         domain, [min(domain.set_symbols(i), key=rank.__getitem__)
                  for i in range(len(domain.sets))])
+
+
+def _pairwise_closure(m, ordering):
+    """Reference: the pairwise fixpoint, each new element joined and met
+    with everything already present."""
+    rank = ordering.rank
+    items = sorted(m.picks_set())
+    seen = set(items)
+    for i, p in enumerate(items):  # grows while it is walked
+        for q in items[:i + 1]:
+            for c in (join_picks(p, q, rank), meet_picks(p, q, rank)):
+                if c not in seen:
+                    seen.add(c)
+                    items.append(c)
+    return frozenset(seen)
+
+
+def _pairwise_witness(m, ordering):
+    """Reference: the first pair, join before meet, that escapes the model."""
+    rank = ordering.rank
+    members = m.picks_set()
+    for c1, c2 in itertools.combinations(m.functions, 2):
+        for kind, op in (("join", join_picks), ("meet", meet_picks)):
+            escapee = op(c1.picks, c2.picks, rank)
+            if escapee not in members:
+                return c1.picks, c2.picks, kind, escapee
+    return None
+
+
+@functools.cache
+def _theta_filter(n, order):
+    """Reference: every choice function that passes both theta axioms."""
+    domain = ChoiceDomain.full("abcd"[:n])
+    grank = order_ranks(order, n)
+    return frozenset(picks for picks in itertools.product(*domain.sets)
+                     if theta_violation(picks, domain, grank) is None)
+
+
+class TestPackedEngine:
+    @pytest.mark.parametrize("per_set", [False, True])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_closure_equals_pairwise_fixpoint(self, n, per_set):
+        rng = random.Random(100 * n + per_set)
+        domain = ChoiceDomain.full("abcde"[:n])
+        rational = list(enumerate_rational(domain).functions)
+        universe = [tuple(rng.choice(s) for s in domain.sets)
+                    for _ in range(40)]
+        for trial in range(12):
+            ordering = random_ordering(rng, domain, per_set)
+            count = 2 + trial % 3  # at most 166 members, the free lattice
+            if trial % 2:
+                gens = ChoiceModel.from_functions(rng.sample(rational, count))
+            else:
+                gens = ChoiceModel.from_picks(domain, rng.sample(universe, count))
+            closed = lattice_closure(gens, ordering)
+            assert closed.picks_set() == _pairwise_closure(gens, ordering)
+
+    @pytest.mark.parametrize("per_set", [False, True])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_is_lattice_and_is_chain_match_pairwise_scans(self, n, per_set):
+        rng = random.Random(200 * n + per_set)
+        domain = ChoiceDomain.full("abcde"[:n])
+        universe = [tuple(rng.choice(s) for s in domain.sets)
+                    for _ in range(30)]
+        failures = 0
+        for trial in range(30):
+            ordering = random_ordering(rng, domain, per_set)
+            if trial % 3:
+                m = ChoiceModel.from_picks(
+                    domain, rng.sample(universe, rng.randint(2, 6)))
+            else:
+                m = lattice_closure(ChoiceModel.from_picks(
+                    domain, rng.sample(universe, 3)), ordering)
+            ok, witness = is_lattice(m, ordering)
+            expect = _pairwise_witness(m, ordering)
+            assert ok is (expect is None)
+            if witness is not None:
+                failures += 1
+                assert (witness.left.picks, witness.right.picks, witness.kind,
+                        witness.escapee.picks) == expect
+            rank = ordering.rank
+            pairs = [(c1, c2) for c1, c2 in
+                     itertools.combinations(m.functions, 2)
+                     if compare_picks(c1.picks, c2.picks, rank)
+                     is Comparison.INCOMPARABLE]
+            assert is_chain(m, ordering) == (
+                (False, pairs[0]) if pairs else (True, None))
+        assert failures >= 10
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_theta_model_equals_axiom_filter(self, n):
+        symbols = "abcd"[:n]
+        domain = ChoiceDomain.full(symbols)
+        for order in itertools.permutations(range(n)):
+            expect = _theta_filter(n, order)
+            got = theta_model(domain, [symbols[x] for x in order])
+            assert got.picks_set() == expect
+
+    def test_rational_closure_is_theta_filter_n4(self, dom4):
+        """The paper's central equivalence, under all 24 orders at n = 4."""
+        rational = enumerate_rational(dom4)
+        for order in itertools.permutations(range(4)):
+            ordering = PrimitiveOrderings.from_global(
+                dom4, [dom4.alternatives[x] for x in order])
+            closed = lattice_closure(rational, ordering).picks_set()
+            assert len(closed) == 526
+            assert closed == _theta_filter(4, order)
 
 
 class TestIsLattice:
