@@ -25,11 +25,16 @@ from .core import (
 )
 
 ENUMERATION_GUARD_N = 6
+CLOSURE_GUARD = 20_000
 
 
 @dataclass(frozen=True)
 class ChoiceModel:
-    """A nonempty, duplicate-free set of choice functions, canonically sorted."""
+    """A nonempty, duplicate-free set of choice functions, canonically sorted.
+
+    The frozenset of member picks is built once, here, for ``in`` tests; it
+    is an attribute, not a field, so equality and hashing do not see it.
+    """
 
     domain: ChoiceDomain = field(hash=False)
     functions: tuple[ChoiceFunction, ...] = ()
@@ -42,10 +47,12 @@ class ChoiceModel:
             if c.domain != self.domain:
                 raise DomainMismatchError("model members live on different domains")
             picks.append(c.picks)
-        if len(set(picks)) != len(picks):
+        members = frozenset(picks)
+        if len(members) != len(picks):
             raise ChoiceError("duplicate choice functions in model")
         ordered = tuple(sorted(self.functions, key=lambda c: c.picks))
         object.__setattr__(self, "functions", ordered)
+        object.__setattr__(self, "_members", members)
 
     @classmethod
     def from_functions(cls, functions: Iterable[ChoiceFunction]) -> "ChoiceModel":
@@ -67,7 +74,7 @@ class ChoiceModel:
         return cls(domain, tuple(ChoiceFunction(domain, p) for p in set(picks)))
 
     def picks_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(c.picks for c in self.functions)
+        return self._members
 
     def strings(self) -> tuple[str, ...]:
         return tuple(c.to_string() for c in self.functions)
@@ -166,7 +173,8 @@ def lattice_closure(model: ChoiceModel,
     (Birkhoff): (a1 v ... v ai) ^ (b1 v ... v bj) is the join of the meets
     ak ^ bl, each of which lies in M.  The meet stage combines only with
     G and the join stage only with M, so a closure L costs at most
-    |M| |G| + |L| |M| operations, not |L|^2.
+    |M| |G| + |L| |M| operations, not |L|^2.  Either stage raises a
+    ``GuardError`` once it holds more than ``CLOSURE_GUARD`` members.
     """
     _check_shared(model, ordering)
     packed = ordering.packed
@@ -180,6 +188,7 @@ def _close(generators: list[int], op) -> list[int]:
 
     Adds one generator g at a time: what g1, ..., gi build is what
     g1, ..., g(i-1) build, plus gi, plus gi combined with each of those.
+    The size guard is checked once per generator.
     """
     items: list[int] = []
     seen: set[int] = set()
@@ -188,6 +197,9 @@ def _close(generators: list[int], op) -> list[int]:
             if c not in seen:
                 seen.add(c)
                 items.append(c)
+        if len(items) > CLOSURE_GUARD:
+            raise GuardError(f"lattice_closure: {len(items):,} members exceed "
+                             f"the guard of {CLOSURE_GUARD:,}")
     return items
 
 

@@ -1,20 +1,21 @@
 """Exact linear feasibility and exhaustive enumerators.
 
-``exact_feasible`` is the exact simplex behind ``in_delta``.  The two
-enumerators list every choice function of a domain and every strict order
-of a symbol set; the tests use them as brute-force references.
+``exact_feasible`` is the exact simplex behind ``in_delta``: a phase-one
+simplex over integer rows, pivoted fraction-free (each row is kept as the
+true row times a positive factor and reduced by its gcd), that stores no
+artificial columns and no ``Fraction`` until it reads off the solution.
+The two enumerators list every choice function of a domain and every
+strict order of a symbol set; the tests use them as brute-force references.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from .core import ChoiceDomain, ChoiceError, GuardError
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 FUNCTION_GUARD = 1_000_000
 
@@ -46,61 +47,81 @@ def exact_feasible(matrix, rhs) -> list[Fraction] | None:
     """Exact rational solution of A x = b with x >= 0, or None when infeasible.
 
     Phase-one simplex with Bland's rule: deterministic, cycle-free, no
-    floating point anywhere.
+    floating point anywhere.  Each row is scaled by the lcm of its
+    denominators, so the tableau holds only ints, and every row is stored
+    as the true row times some positive factor.  A pivot on p > 0 in row r
+    replaces each row i with a nonzero entry a in the entering column by
+    p * row_i - a * row_r, then divides it by the gcd of its entries; the
+    factors never need to be known, since the ratio test cross-multiplies
+    and the entering rule reads only signs.  The artificial columns are
+    never entered and so are not stored: the basis index width + i of
+    artificial i remains, for Bland's tie-break.
     """
     if len(matrix) != len(rhs):
         raise ChoiceError("matrix and rhs must align")
     width = len(matrix[0]) if matrix else 0
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
+    scales: list[int] = []
     for row, b in zip(matrix, rhs):
         if len(row) != width:
             raise ChoiceError("ragged constraint matrix")
-        line = [Fraction(v) for v in row] + [Fraction(b)]
-        if line[width] < 0:
-            line = [-v for v in line]
-        tableau.append(line)
+        line = [v if isinstance(v, int) else Fraction(v) for v in (*row, b)]
+        scale = math.lcm(*{v.denominator for v in line})
+        sign = -1 if line[width] < 0 else 1
+        tableau.append([sign * v.numerator * (scale // v.denominator)
+                        for v in line])
+        scales.append(scale)
 
-    m = len(tableau)
-    total = width + m  # artificials appended
-    for i, line in enumerate(tableau):
-        line[width:width] = [ONE if k == i else ZERO for k in range(m)]
-    basis = [width + i for i in range(m)]
+    basis = [width + i for i in range(len(tableau))]
 
-    # Phase-one objective: drive the artificial mass to zero.
-    obj = [ZERO] * (total + 1)
-    for line in tableau:
-        for k in range(total + 1):
-            obj[k] += line[k]
+    # Phase-one objective: drive the artificial mass to zero.  It is the sum
+    # of the true rows, here times the lcm of the row scales.
+    common = math.lcm(*scales)
+    obj = [0] * (width + 1)
+    for s, line in zip(scales, tableau):
+        k = common // s
+        obj = [u + k * v for u, v in zip(obj, line)]
 
     while True:
         entering = next((k for k in range(width) if obj[k] > 0), None)
         if entering is None:
             break
-        pivot_row, best = None, None
-        for i in range(m):
-            a = tableau[i][entering]
+        pivot_row = None
+        for i, line in enumerate(tableau):
+            a = line[entering]
             if a > 0:
-                ratio = tableau[i][total] / a
-                if (best is None or ratio < best
-                        or (ratio == best and basis[i] < basis[pivot_row])):
-                    best, pivot_row = ratio, i
+                if pivot_row is None:
+                    pivot_row = i
+                    continue
+                # b_i / a < b_r / a_r, with both sides times a * a_r > 0
+                here = line[width] * tableau[pivot_row][entering]
+                best = tableau[pivot_row][width] * a
+                if here < best or (here == best and basis[i] < basis[pivot_row]):
+                    pivot_row = i
         if pivot_row is None:
             raise AssertionError("phase-one objective is bounded by zero")
-        piv = tableau[pivot_row][entering]
-        tableau[pivot_row] = [v / piv for v in tableau[pivot_row]]
-        for i in range(m):
-            if i != pivot_row and tableau[i][entering] != 0:
-                f = tableau[i][entering]
-                tableau[i] = [v - f * w for v, w in zip(tableau[i], tableau[pivot_row])]
-        f = obj[entering]
-        obj = [v - f * w for v, w in zip(obj, tableau[pivot_row])]
+        pivot = tableau[pivot_row]
+        p = pivot[entering]
+        for i, line in enumerate(tableau):
+            if i != pivot_row and line[entering] != 0:
+                tableau[i] = _eliminate(line, pivot, p, line[entering])
+        obj = _eliminate(obj, pivot, p, obj[entering])
         basis[pivot_row] = entering
 
-    if obj[total] != 0:
+    if obj[width] != 0:
         return None
 
-    solution = [ZERO] * width
-    for i, var in enumerate(basis):
+    solution = [Fraction(0)] * width
+    for line, var in zip(tableau, basis):
         if var < width:
-            solution[var] = tableau[i][total]
+            solution[var] = Fraction(line[width], line[var])
     return solution
+
+
+def _eliminate(line: list[int], pivot: list[int], p: int, a: int) -> list[int]:
+    """p * line - a * pivot, divided by the gcd of its entries."""
+    out = [p * v - a * w for v, w in zip(line, pivot)]
+    g = math.gcd(*out)
+    if g > 1:
+        out = [v // g for v in out]
+    return out

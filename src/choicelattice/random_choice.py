@@ -249,22 +249,33 @@ def in_delta(rcf: RandomChoiceFunction, model: ChoiceModel
              ) -> tuple[bool, dict[ChoiceFunction, Fraction] | None]:
     """Exact feasibility of representing the RCF as a mixture over the model.
 
-    Solves the linear system (one equation per (set, alternative) plus the
-    unit-mass equation) over nonnegative weights indexed by the model.
+    Solves, over nonnegative weights indexed by the model, one equation per
+    (set, alternative) except the first member of each set, and the
+    unit-mass equation.  The skipped equation is implied: each choice
+    function picks one member of the set, so its row is the unit-mass row
+    minus the set's other rows, and the RCF's probabilities over the set sum
+    to 1, so its right-hand side is 1 minus theirs.  Any one member could be
+    skipped; the first is, because the model's functions are sorted by picks
+    and Bland's rule enters the lowest column first, so the columns that
+    enter early pick first members and, without those rows, each pivot
+    touches fewer rows.  The rows are 0/1 ``int``s and the system goes to
+    ``oracle.exact_feasible``.
     """
     dom = rcf.domain
     if model.domain != dom:
         raise DomainMismatchError("model lives on a different domain")
     if len(model) > DELTA_GUARD:
-        raise GuardError(f"in_delta is guarded at {DELTA_GUARD} model functions")
+        raise GuardError(f"in_delta: {len(model):,} model functions exceed "
+                         f"the guard of {DELTA_GUARD:,}")
     functions = model.functions
-    rows: list[list[Fraction]] = []
+    picks = [c.picks for c in functions]
+    rows: list[list[int]] = []
     rhs: list[Fraction] = []
     for si, s in enumerate(dom.sets):
-        for pos, x in enumerate(s):
-            rows.append([ONE if c.picks[si] == x else ZERO for c in functions])
+        for pos, x in enumerate(s[1:], 1):
+            rows.append([int(p[si] == x) for p in picks])
             rhs.append(rcf.probs[si][pos])
-    rows.append([ONE] * len(functions))
+    rows.append([1] * len(functions))
     rhs.append(ONE)
     solution = exact_feasible(rows, rhs)
     if solution is None:

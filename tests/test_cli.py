@@ -185,3 +185,17 @@ def test_usage_error_exits_2(workdir, capsys, monkeypatch):
     assert err.splitlines()[-1] == (
         "choicelattice check: error: one of the arguments --lattice --theta "
         "--rtheta --mixture --chain is required")
+
+
+def test_closure_guard_exits_3(workdir, capsys):
+    # the closure of the rational model at n = 5 is theta, 1,035,642 members
+    code, out, _ = _run(capsys, ["generate", "--kind", "rational",
+                                 "--alternatives", "a,b,c,d,e"])
+    assert code == 0
+    (workdir / "rational5.json").write_text(out, encoding="utf-8")
+    (workdir / "ord5.json").write_text(json.dumps({"global": list("abcde")}),
+                                       encoding="utf-8")
+    code, out, err = _run(capsys, ["closure", "rational5.json", "ord5.json"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: lattice_closure: ")
+    assert err.endswith(" members exceed the guard of 20,000\n")

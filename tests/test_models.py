@@ -1,6 +1,8 @@
+import dataclasses
 import functools
 import itertools
 import random
+import time
 
 import pytest
 
@@ -193,6 +195,29 @@ class TestClosure:
             assert close_small.picks_set() <= close_big.picks_set()
             assert lattice_closure(close_small, ord3) == close_small
             assert is_lattice(close_small, ord3)[0]
+
+    def test_guard_on_the_size_reached(self):
+        # the closure is theta at n = 5, 1,035,642 members
+        domain = ChoiceDomain.full("abcde")
+        ordering = PrimitiveOrderings.from_global(domain, "abcde")
+        start = time.perf_counter()
+        with pytest.raises(GuardError, match=r"lattice_closure: \d{2},\d{3} "
+                           "members exceed the guard of 20,000"):
+            lattice_closure(enumerate_rational(domain), ordering)
+        assert time.perf_counter() - start < 30
+
+
+class TestChoiceModel:
+    def test_pick_set_is_built_once(self, dom3, example1_model):
+        members = example1_model.picks_set()
+        assert members is example1_model.picks_set()
+        assert members == {c.picks for c in example1_model.functions}
+        assert fn(dom3, "abac") in example1_model
+        assert fn(dom3, "bbab") not in example1_model
+        again = model(dom3, "abac", "aaac", "abab", "aaab")
+        assert again == example1_model and hash(again) == hash(example1_model)
+        assert [f.name for f in dataclasses.fields(ChoiceModel)] == [
+            "domain", "functions"]
 
 
 class TestChain:

@@ -10,6 +10,7 @@ from choicelattice import (
     ChoiceFunction,
     ChoiceModel,
     Comparison,
+    GuardError,
     PrimitiveOrderings,
     RandomChoiceFunction,
     all_choice_functions,
@@ -22,6 +23,7 @@ from choicelattice import (
     deterministic,
     enumerate_rational,
     in_delta,
+    lattice_closure,
     meet,
     satisfies_rtheta,
     theta_model,
@@ -189,6 +191,63 @@ class TestInDelta:
             ok, weights = in_delta(rho, tm)
             assert ok
             assert compose(weights) == rho
+
+    def test_lattice_answer_is_the_progressive_decomposition(self, dom4):
+        # A lattice is self-progressive, so rho lies in Delta(M) exactly
+        # when every component of its progressive decomposition lies in M.
+        rng = random.Random(2212)
+        universe = list(all_choice_functions(dom4).functions)
+        answers = []
+        for trial in range(24):
+            order = rng.sample(dom4.alternatives, 4)
+            ordering = PrimitiveOrderings.from_global(dom4, order)
+            gens = ChoiceModel.from_functions(rng.sample(universe, 3))
+            lattice = lattice_closure(gens, ordering)
+            chosen = rng.sample(lattice.functions, min(4, len(lattice)))
+            if trial % 2:
+                chosen[-1] = rng.choice(universe)
+            raw = [rng.randint(1, 5) for _ in chosen]
+            rho = compose({c: F(w, sum(raw)) for c, w in zip(chosen, raw)})
+            ok, weights = in_delta(rho, lattice)
+            components = decompose_progressive(rho, ordering).functions()
+            assert ok is all(c in lattice for c in components)
+            answers.append(ok)
+            if ok:
+                _assert_certificate(weights, lattice, rho)
+            else:
+                assert weights is None
+        assert answers.count(True) >= 8 and answers.count(False) >= 8
+
+    def test_theta_model_n4(self, dom4):
+        # 526 columns; the random theta axioms give the answer independently
+        order = tuple("abcd")
+        tm = theta_model(dom4, order)
+        rng = random.Random(4)
+        chosen = rng.sample(tm.functions, 5)
+        member = compose({c: F(1, 5) for c in chosen})
+        ok, weights = in_delta(member, tm)
+        assert ok and satisfies_rtheta(member, order)[0]
+        _assert_certificate(weights, tm, member)
+        # d from the full set, the best member everywhere else: removing a
+        # from abcd then improves the choice to b, which breaks theta2
+        best = [s[0] for s in dom4.sets]
+        outside = ChoiceFunction(dom4, (3, *best[1:]))
+        assert outside not in tm
+        other = compose({chosen[0]: F(1, 2), outside: F(1, 2)})
+        assert in_delta(other, tm) == (False, None)
+        assert not satisfies_rtheta(other, order)[0]
+
+    def test_guard_names_size_and_limit(self, dom4):
+        rho = deterministic(ChoiceFunction(dom4, tuple(s[0] for s in dom4.sets)))
+        with pytest.raises(GuardError, match="in_delta: 20,736 model functions "
+                           "exceed the guard of 10,000"):
+            in_delta(rho, all_choice_functions(dom4))
+
+
+def _assert_certificate(weights, model, rho):
+    assert all(c in model and w > 0 for c, w in weights.items())
+    assert sum(weights.values()) == 1
+    assert compose(weights) == rho
 
 
 class TestRTheta:
