@@ -53,7 +53,6 @@ from .random_choice import (
 from .polytope import (
     ConstraintSystem,
     build_constraints,
-    enumerate_vertices,
     function_vertex,
     heller_check,
     vertex_function,
@@ -61,24 +60,12 @@ from .polytope import (
 from .identify import (
     AxiomReport,
     BetweennessRelation,
+    agreeing_orderings,
     betweenness,
     check_axioms,
-    find_agreeing_ordering,
     identify_primitive,
-    local_ordering,
 )
-from .generators import (
-    LotteryGrid,
-    SimilarityAgent,
-    gen_krs,
-    gen_random_model,
-    gen_satisficing,
-    gen_similarity,
-)
-from .oracle import (
-    all_choice_functions,
-    all_orderings,
-    exact_feasible,
-)
+from .generators import gen_random_model
+from .oracle import exact_feasible
 
 __version__ = "0.1.0"

@@ -3,18 +3,19 @@
 A model reveals "y between x and z" when some member chooses y from a set
 and x once z is removed.  Axioms B1/sB1/B2/B3 on that ternary relation are
 exactly what existence (and uniqueness up to inversion) of a compatible
-primitive ordering requires; the search here decides the question directly
-and is cross-checked against brute force over all orders.
+primitive ordering requires.  A model lies in the minimal rational extension
+of an order exactly when the order agrees with the model's betweenness, so
+identification is one pruned search for the agreeing orders.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .core import ChoiceError, GuardError, order_ranks
-from .models import ChoiceModel, theta_violation
+from .core import ChoiceError, GuardError
+from .models import ChoiceModel
 
 
 @dataclass(frozen=True)
@@ -110,18 +111,19 @@ def check_axioms(relation: BetweennessRelation) -> AxiomReport:
         if len(by_elements[key]) > 1:
             b1, b1_witness = False, tuple(alts[i] for i in key)
             break
-    sb1 = b1 and len(by_elements) == len(list(itertools.combinations(range(n), 3)))
+    sb1 = b1 and len(by_elements) == math.comb(n, 3)
 
     def has(y, x, z):
         lo, hi = (x, z) if x < z else (z, x)
         return (y, (lo, hi)) in triples
 
-    b2, b2_witness = True, None
-    for x, y, z, w in itertools.permutations(range(n), 4):
-        if has(y, x, z) and has(z, x, w) and has(w, x, y):
-            b2 = False
-            b2_witness = tuple(alts[i] for i in (x, y, z, w))
-            break
+    # B2 fails at (x, y, z, w) when y is between x and z, z between x and
+    # w, and w between x and y; the witness is the least such quadruple.
+    b2_fails = [(x, y, z, w) for y, (a, b) in triples
+                for x, z in ((a, b), (b, a)) for w in range(n)
+                if has(z, x, w) and has(w, x, y)]
+    b2 = not b2_fails
+    b2_witness = tuple(alts[i] for i in min(b2_fails)) if b2_fails else None
 
     b3, b3_witness = True, None
     for y, (x, z) in sorted(triples):
@@ -139,47 +141,18 @@ def check_axioms(relation: BetweennessRelation) -> AxiomReport:
     return AxiomReport(b1, sb1, b2, b3, b1_witness, b2_witness, b3_witness)
 
 
-def _agrees(order_index: Sequence[int],
-            relation: BetweennessRelation) -> bool:
-    pos = order_ranks(order_index, len(relation.alternatives))
-    for y, (x, z) in relation.triples:
-        if not (pos[x] < pos[y] < pos[z] or pos[z] < pos[y] < pos[x]):
-            return False
-    return True
+def agreeing_orderings(relation: BetweennessRelation
+                       ) -> Iterator[tuple[str, ...]]:
+    """Every full order agreeing with the relation, by backtracking.
 
-
-LOCAL_GUARD = 6
-
-
-def local_ordering(relation: BetweennessRelation,
-                   quadruple: Iterable[str]) -> tuple[str, ...] | None:
-    """An order on the given elements agreeing with every triple inside them.
-
-    Brute force over the permutations of the (at most six) elements.
+    Ranks are assigned best-first in lexicographic branch order, and orders
+    are yielded in that order; a partial assignment is pruned as soon as
+    some triple can no longer sit with its middle strictly between the
+    outer pair.  Deciding whether any order exists is NP-complete in
+    general (Opatrny's total ordering problem), so callers bound n.
     """
-    index = {a: i for i, a in enumerate(relation.alternatives)}
-    members = sorted(index[str(a)] for a in quadruple)
-    if len(members) > LOCAL_GUARD:
-        raise GuardError(f"local search is guarded at {LOCAL_GUARD} elements")
-    inside = [(y, (x, z)) for y, (x, z) in relation.triples
-              if {x, y, z} <= set(members)]
-    local = BetweennessRelation(relation.alternatives, frozenset(inside))
-    for perm in itertools.permutations(members):
-        if _agrees(perm, local):
-            return tuple(relation.alternatives[i] for i in perm)
-    return None
-
-
-def find_agreeing_ordering(relation: BetweennessRelation
-                           ) -> tuple[str, ...] | None:
-    """Backtracking search for a full order agreeing with the relation.
-
-    Ranks are assigned best-first in lexicographic branch order; a partial
-    assignment is pruned as soon as some triple can no longer sit with its
-    middle strictly between the outer pair.  Absence is a value, not an
-    error.
-    """
-    n = len(relation.alternatives)
+    alts = relation.alternatives
+    n = len(alts)
     constraints = tuple(relation.triples)
     pos: dict[int, int] = {}
 
@@ -202,23 +175,21 @@ def find_agreeing_ordering(relation: BetweennessRelation
 
     order: list[int] = []
 
-    def extend() -> bool:
+    def extend() -> Iterator[tuple[str, ...]]:
         if len(order) == n:
-            return True
+            yield tuple(alts[i] for i in order)
+            return
         for x in range(n):
             if x in pos:
                 continue
             pos[x] = len(order)
             order.append(x)
-            if consistent() and extend():
-                return True
+            if consistent():
+                yield from extend()
             order.pop()
             del pos[x]
-        return False
 
-    if extend():
-        return tuple(relation.alternatives[i] for i in order)
-    return None
+    yield from extend()
 
 
 IDENTIFY_GUARD_N = 6
@@ -228,10 +199,11 @@ def identify_primitive(model: ChoiceModel
                        ) -> tuple[tuple[tuple[str, ...], ...], AxiomReport]:
     """All orderings whose minimal rational extension contains the model.
 
-    Betweenness agreement narrows the candidates; each survivor is verified
-    by the deterministic axioms, function by function.  The result is
-    cross-checked against brute force over every order of the alternatives
-    (axiom failure must coincide with an empty brute-force result).
+    Let y = c(S) and y' = c(S \\ {x}) with y' != y.  The theta axioms fail at
+    (S, x) under an order exactly when y is not strictly between x and y',
+    and (y; x, y') is the triple ``betweenness`` records.  So the model lies
+    in theta of an order iff the order agrees with the model's betweenness,
+    and the answer is every agreeing order, sorted, or none when B1-B3 fail.
     """
     dom = model.domain
     dom.require_full("primitive-ordering identification")
@@ -239,23 +211,6 @@ def identify_primitive(model: ChoiceModel
         raise GuardError(f"identification is guarded at n <= {IDENTIFY_GUARD_N}")
     relation = betweenness(model)
     report = check_axioms(relation)
-
-    picks = [c.picks for c in model.functions]
-
-    def theta_all(order_index: tuple[int, ...]) -> bool:
-        grank = order_ranks(order_index, dom.n)
-        return all(theta_violation(pk, dom, grank) is None for pk in picks)
-
-    every_order = list(itertools.permutations(range(dom.n)))
-    brute = {o for o in every_order if theta_all(o)}
-    if report.all_b123():
-        found = {o for o in every_order
-                 if _agrees(o, relation) and theta_all(o)}
-    else:
-        found = set()
-    if found != brute:
-        raise AssertionError("betweenness search and brute force disagree; "
-                             "this is an implementation bug")
-    alts = dom.alternatives
-    orders = tuple(sorted(tuple(alts[i] for i in o) for o in found))
-    return orders, report
+    if not report.all_b123():
+        return (), report
+    return tuple(sorted(agreeing_orderings(relation))), report

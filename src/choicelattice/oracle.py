@@ -1,46 +1,17 @@
-"""Exact linear feasibility and exhaustive enumerators.
+"""Exact linear feasibility.
 
 ``exact_feasible`` is the exact simplex behind ``in_delta``: a phase-one
 simplex over integer rows, pivoted fraction-free (each row is kept as the
 true row times a positive factor and reduced by its gcd), that stores no
 artificial columns and no ``Fraction`` until it reads off the solution.
-The two enumerators list every choice function of a domain and every
-strict order of a symbol set; the tests use them as brute-force references.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
-from typing import Sequence
 
-from .core import ChoiceDomain, ChoiceError, GuardError
-
-FUNCTION_GUARD = 1_000_000
-
-
-def all_choice_functions(domain: ChoiceDomain):
-    """Every choice function of the domain (cartesian product of picks)."""
-    from .models import ChoiceModel
-
-    total = 1
-    for s in domain.sets:
-        total *= len(s)
-    if total > FUNCTION_GUARD:
-        raise GuardError(f"{total} choice functions exceed the guard "
-                         f"of {FUNCTION_GUARD}")
-    return ChoiceModel.from_picks(domain, itertools.product(*domain.sets))
-
-
-ORDERING_GUARD_N = 8
-
-
-def all_orderings(symbols: Sequence[str]) -> tuple[tuple[str, ...], ...]:
-    """All strict total orders, lexicographic in the given symbol sequence."""
-    if len(symbols) > ORDERING_GUARD_N:
-        raise GuardError(f"ordering enumeration is guarded at n <= {ORDERING_GUARD_N}")
-    return tuple(itertools.permutations(tuple(str(s) for s in symbols)))
+from .core import ChoiceError
 
 
 def exact_feasible(matrix, rhs) -> list[Fraction] | None:

@@ -2,24 +2,16 @@
 
 Materializes the five row families bounding cumulative random choice,
 checks the two-nonzero opposite-sign condition that certifies total
-unimodularity, and enumerates polytope vertices exactly at tiny scale as
-an integrality oracle.
+unimodularity, and maps choice functions to and from the 0/1 points.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .core import (
-    ChoiceDomain,
-    ChoiceError,
-    ChoiceFunction,
-    GuardError,
-    order_ranks,
-)
+from .core import ChoiceDomain, ChoiceError, ChoiceFunction, order_ranks
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -152,124 +144,6 @@ def heller_check(system: ConstraintSystem) -> bool:
     return True
 
 
-VERTEX_GUARD = 12
-
-
-def _rank_of(rows: list[Sequence[Fraction]], width: int) -> int:
-    mat = [list(r) for r in rows]
-    rank = 0
-    for c in range(width):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        lead = mat[rank][c]
-        mat[rank] = [v / lead for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
-def enumerate_vertices(system: ConstraintSystem,
-                       guard: int = VERTEX_GUARD) -> tuple[tuple[Fraction, ...], ...]:
-    """All vertices of {q in [0,1]^k : rows q <= rhs}, exactly.
-
-    Incremental halfspace insertion starting from the unit-box vertex set:
-    each cut keeps the nonnegative-slack points and adds the crossing
-    points of edges (detected by the combinatorial adjacency test on tight
-    constraint sets).  Every returned point is certified afterwards: it is
-    feasible for every constraint and its tight constraints have full rank.
-    """
-    width = len(system.columns)
-    if width > guard:
-        raise GuardError(f"vertex enumeration is guarded at {guard} columns")
-
-    # Global constraint list: box uppers, box lowers, then system rows.
-    all_rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for j in range(width):
-        coeffs = [ZERO] * width
-        coeffs[j] = ONE
-        all_rows.append((tuple(coeffs), ONE))
-    for j in range(width):
-        coeffs = [ZERO] * width
-        coeffs[j] = -ONE
-        all_rows.append((tuple(coeffs), ZERO))
-    for row, b in zip(system.rows, system.rhs):
-        all_rows.append((tuple(Fraction(v) for v in row), Fraction(b)))
-
-    points: list[tuple[Fraction, ...]] = [
-        tuple(Fraction(bit) for bit in bits)
-        for bits in itertools.product((0, 1), repeat=width)]
-    tight: list[int] = []
-    for p in points:
-        mask = 0
-        for j, v in enumerate(p):
-            mask |= 1 << (j if v == 1 else width + j)
-        tight.append(mask)
-
-    processed = 2 * width
-    for k in range(processed, len(all_rows)):
-        coeffs, b = all_rows[k]
-        slacks = [b - sum(c * v for c, v in zip(coeffs, p) if c != 0)
-                  for p in points]
-        keep_idx = [i for i, s in enumerate(slacks) if s >= 0]
-        pos = [i for i in keep_idx if slacks[i] > 0]
-        neg = [i for i, s in enumerate(slacks) if s < 0]
-        new_points: dict[tuple[Fraction, ...], int] = {}
-        if neg:
-            masks = tight
-            for i in pos:
-                ti = masks[i]
-                for j in neg:
-                    common = ti & masks[j]
-                    if bin(common).count("1") < width - 1:
-                        continue
-                    # Edge test: no third vertex is tight on the common set.
-                    if any(masks[w] & common == common
-                           for w in range(len(points)) if w != i and w != j):
-                        continue
-                    lam = slacks[i] / (slacks[i] - slacks[j])
-                    cut = tuple(u + lam * (v - u)
-                                for u, v in zip(points[i], points[j]))
-                    if cut not in new_points:
-                        mask = 0
-                        for r in range(k + 1):
-                            rc, rb = all_rows[r]
-                            if sum(c * v for c, v in zip(rc, cut) if c != 0) == rb:
-                                mask |= 1 << r
-                        new_points[cut] = mask
-        next_points, next_tight = [], []
-        for i in keep_idx:
-            next_points.append(points[i])
-            next_tight.append(tight[i] | ((1 << k) if slacks[i] == 0 else 0))
-        for p, mask in new_points.items():
-            next_points.append(p)
-            next_tight.append(mask)
-        points, tight = next_points, next_tight
-
-    # Certification: feasibility against every row, full-rank tight set.
-    verified = []
-    for p in points:
-        active = []
-        for coeffs, b in all_rows:
-            val = sum(c * v for c, v in zip(coeffs, p) if c != 0)
-            if val > b:
-                raise AssertionError("enumerated point is infeasible; "
-                                     "this is an implementation bug")
-            if val == b:
-                active.append(coeffs)
-        if _rank_of(active, width) != width:
-            raise AssertionError("enumerated point is not a vertex; "
-                                 "this is an implementation bug")
-        verified.append(p)
-    return tuple(sorted(set(verified)))
-
-
 def function_vertex(system: ConstraintSystem,
                     c: ChoiceFunction) -> tuple[Fraction, ...]:
     """The 0/1 cumulative vector of a deterministic choice function,
@@ -307,41 +181,3 @@ def vertex_function(system: ConstraintSystem,
         picks[si] = max((x for x, v in entries if v == ZERO),
                         key=lambda x: grank[x])
     return ChoiceFunction(dom, tuple(picks))
-
-
-def sample_subdeterminants(system: ConstraintSystem, samples: int,
-                           max_order: int = 8, seed: int = 0) -> list[int]:
-    """Determinants of randomly sampled square submatrices (exact integers)."""
-    import random as _stdrandom
-
-    rng = _stdrandom.Random(seed)
-    m, n = len(system.rows), len(system.columns)
-    out = []
-    for _ in range(samples):
-        k = rng.randint(1, min(max_order, m, n))
-        rows = rng.sample(range(m), k)
-        cols = rng.sample(range(n), k)
-        sub = [[system.rows[i][j] for j in cols] for i in rows]
-        out.append(_int_det(sub))
-    return out
-
-
-def _int_det(matrix: list[list[int]]) -> int:
-    """Fraction-free Gaussian elimination (Bareiss)."""
-    n = len(matrix)
-    mat = [row[:] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if mat[i][k] != 0), None)
-            if swap is None:
-                return 0
-            mat[k], mat[swap] = mat[swap], mat[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[n - 1][n - 1]

@@ -1,0 +1,243 @@
+"""Brute-force references for the tests.
+
+Each function here answers a question by exhaustion, independently of the
+route the package takes: every choice function of a domain, every order of
+a symbol set, the vertices of the cumulative polytope by halfspace
+insertion, sampled subdeterminants of its rows, a local betweenness order
+by trying every permutation, and the orders whose theta model contains a
+model by testing the theta axioms under all n! orders.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from fractions import Fraction
+from typing import Iterable, Sequence
+
+from choicelattice import BetweennessRelation, ChoiceDomain, ChoiceModel, GuardError
+from choicelattice.core import order_ranks
+from choicelattice.models import theta_violation
+from choicelattice.polytope import ConstraintSystem
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+FUNCTION_GUARD = 1_000_000
+
+
+def all_choice_functions(domain: ChoiceDomain) -> ChoiceModel:
+    """Every choice function of the domain (cartesian product of picks)."""
+    total = 1
+    for s in domain.sets:
+        total *= len(s)
+    if total > FUNCTION_GUARD:
+        raise GuardError(f"{total} choice functions exceed the guard "
+                         f"of {FUNCTION_GUARD}")
+    return ChoiceModel.from_picks(domain, itertools.product(*domain.sets))
+
+
+ORDERING_GUARD_N = 8
+
+
+def all_orderings(symbols: Sequence[str]) -> tuple[tuple[str, ...], ...]:
+    """All strict total orders, lexicographic in the given symbol sequence."""
+    if len(symbols) > ORDERING_GUARD_N:
+        raise GuardError(f"ordering enumeration is guarded at n <= {ORDERING_GUARD_N}")
+    return tuple(itertools.permutations(tuple(str(s) for s in symbols)))
+
+
+def theta_orders(model: ChoiceModel) -> tuple[tuple[str, ...], ...]:
+    """Every order, sorted, under which each member passes the theta axioms."""
+    dom = model.domain
+    found = []
+    for order in itertools.permutations(range(dom.n)):
+        grank = order_ranks(order, dom.n)
+        if all(theta_violation(c.picks, dom, grank) is None for c in model):
+            found.append(tuple(dom.alternatives[i] for i in order))
+    return tuple(sorted(found))
+
+
+def agrees(order_index: Sequence[int], relation: BetweennessRelation) -> bool:
+    """Whether the order puts every triple's middle between its outer pair."""
+    pos = order_ranks(order_index, len(relation.alternatives))
+    for y, (x, z) in relation.triples:
+        if not (pos[x] < pos[y] < pos[z] or pos[z] < pos[y] < pos[x]):
+            return False
+    return True
+
+
+LOCAL_GUARD = 6
+
+
+def local_ordering(relation: BetweennessRelation,
+                   quadruple: Iterable[str]) -> tuple[str, ...] | None:
+    """An order on the given elements agreeing with every triple inside them.
+
+    Brute force over the permutations of the (at most six) elements.
+    """
+    index = {a: i for i, a in enumerate(relation.alternatives)}
+    members = sorted(index[str(a)] for a in quadruple)
+    if len(members) > LOCAL_GUARD:
+        raise GuardError(f"local search is guarded at {LOCAL_GUARD} elements")
+    inside = [(y, (x, z)) for y, (x, z) in relation.triples
+              if {x, y, z} <= set(members)]
+    local = BetweennessRelation(relation.alternatives, frozenset(inside))
+    for perm in itertools.permutations(members):
+        if agrees(perm, local):
+            return tuple(relation.alternatives[i] for i in perm)
+    return None
+
+
+VERTEX_GUARD = 12
+
+
+def _rank_of(rows: list[Sequence[Fraction]], width: int) -> int:
+    mat = [list(r) for r in rows]
+    rank = 0
+    for c in range(width):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        lead = mat[rank][c]
+        mat[rank] = [v / lead for v in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [v - f * w for v, w in zip(mat[i], mat[rank])]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
+
+
+def enumerate_vertices(system: ConstraintSystem,
+                       guard: int = VERTEX_GUARD) -> tuple[tuple[Fraction, ...], ...]:
+    """All vertices of {q in [0,1]^k : rows q <= rhs}, exactly.
+
+    Incremental halfspace insertion starting from the unit-box vertex set:
+    each cut keeps the nonnegative-slack points and adds the crossing
+    points of edges (detected by the combinatorial adjacency test on tight
+    constraint sets).  Every returned point is certified afterwards: it is
+    feasible for every constraint and its tight constraints have full rank.
+    """
+    width = len(system.columns)
+    if width > guard:
+        raise GuardError(f"vertex enumeration is guarded at {guard} columns")
+
+    # Global constraint list: box uppers, box lowers, then system rows.
+    all_rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
+    for j in range(width):
+        coeffs = [ZERO] * width
+        coeffs[j] = ONE
+        all_rows.append((tuple(coeffs), ONE))
+    for j in range(width):
+        coeffs = [ZERO] * width
+        coeffs[j] = -ONE
+        all_rows.append((tuple(coeffs), ZERO))
+    for row, b in zip(system.rows, system.rhs):
+        all_rows.append((tuple(Fraction(v) for v in row), Fraction(b)))
+
+    points: list[tuple[Fraction, ...]] = [
+        tuple(Fraction(bit) for bit in bits)
+        for bits in itertools.product((0, 1), repeat=width)]
+    tight: list[int] = []
+    for p in points:
+        mask = 0
+        for j, v in enumerate(p):
+            mask |= 1 << (j if v == 1 else width + j)
+        tight.append(mask)
+
+    processed = 2 * width
+    for k in range(processed, len(all_rows)):
+        coeffs, b = all_rows[k]
+        slacks = [b - sum(c * v for c, v in zip(coeffs, p) if c != 0)
+                  for p in points]
+        keep_idx = [i for i, s in enumerate(slacks) if s >= 0]
+        pos = [i for i in keep_idx if slacks[i] > 0]
+        neg = [i for i, s in enumerate(slacks) if s < 0]
+        new_points: dict[tuple[Fraction, ...], int] = {}
+        if neg:
+            masks = tight
+            for i in pos:
+                ti = masks[i]
+                for j in neg:
+                    common = ti & masks[j]
+                    if bin(common).count("1") < width - 1:
+                        continue
+                    # Edge test: no third vertex is tight on the common set.
+                    if any(masks[w] & common == common
+                           for w in range(len(points)) if w != i and w != j):
+                        continue
+                    lam = slacks[i] / (slacks[i] - slacks[j])
+                    cut = tuple(u + lam * (v - u)
+                                for u, v in zip(points[i], points[j]))
+                    if cut not in new_points:
+                        mask = 0
+                        for r in range(k + 1):
+                            rc, rb = all_rows[r]
+                            if sum(c * v for c, v in zip(rc, cut) if c != 0) == rb:
+                                mask |= 1 << r
+                        new_points[cut] = mask
+        next_points, next_tight = [], []
+        for i in keep_idx:
+            next_points.append(points[i])
+            next_tight.append(tight[i] | ((1 << k) if slacks[i] == 0 else 0))
+        for p, mask in new_points.items():
+            next_points.append(p)
+            next_tight.append(mask)
+        points, tight = next_points, next_tight
+
+    # Certification: feasibility against every row, full-rank tight set.
+    verified = []
+    for p in points:
+        active = []
+        for coeffs, b in all_rows:
+            val = sum(c * v for c, v in zip(coeffs, p) if c != 0)
+            if val > b:
+                raise AssertionError("enumerated point is infeasible; "
+                                     "this is an implementation bug")
+            if val == b:
+                active.append(coeffs)
+        if _rank_of(active, width) != width:
+            raise AssertionError("enumerated point is not a vertex; "
+                                 "this is an implementation bug")
+        verified.append(p)
+    return tuple(sorted(set(verified)))
+
+
+def sample_subdeterminants(system: ConstraintSystem, samples: int,
+                           max_order: int = 8, seed: int = 0) -> list[int]:
+    """Determinants of randomly sampled square submatrices (exact integers)."""
+    rng = random.Random(seed)
+    m, n = len(system.rows), len(system.columns)
+    out = []
+    for _ in range(samples):
+        k = rng.randint(1, min(max_order, m, n))
+        rows = rng.sample(range(m), k)
+        cols = rng.sample(range(n), k)
+        sub = [[system.rows[i][j] for j in cols] for i in rows]
+        out.append(_int_det(sub))
+    return out
+
+
+def _int_det(matrix: list[list[int]]) -> int:
+    """Fraction-free Gaussian elimination (Bareiss)."""
+    n = len(matrix)
+    mat = [row[:] for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if mat[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if mat[i][k] != 0), None)
+            if swap is None:
+                return 0
+            mat[k], mat[swap] = mat[swap], mat[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
+            mat[i][k] = 0
+        prev = mat[k][k]
+    return sign * mat[n - 1][n - 1]

@@ -9,16 +9,18 @@ from choicelattice import (
     ChoiceFunction,
     ChoiceModel,
     GuardError,
-    all_orderings,
+    PrimitiveOrderings,
+    agreeing_orderings,
     betweenness,
     check_axioms,
-    find_agreeing_ordering,
+    enumerate_rational,
     identify_primitive,
-    local_ordering,
+    lattice_closure,
     satisfies_theta,
     theta_model,
 )
 
+from brute import agrees, all_orderings, local_ordering, theta_orders
 from conftest import ABC, fn, model
 
 
@@ -142,13 +144,15 @@ class TestLocalOrdering:
 class TestAgreeingOrdering:
     def test_theta3_relation(self, dom3):
         relation = betweenness(theta_model(dom3, ABC))
-        assert find_agreeing_ordering(relation) == ("a", "b", "c")
+        assert next(agreeing_orderings(relation), None) == ("a", "b", "c")
 
     def test_empty_relation_gives_lexicographic(self):
-        assert find_agreeing_ordering(rel(tuple("dcba"))) == ("d", "c", "b", "a")
+        assert next(agreeing_orderings(rel(tuple("dcba"))),
+                    None) == ("d", "c", "b", "a")
 
     def test_contradiction_gives_none(self):
-        assert find_agreeing_ordering(rel(ABC, ("b", "a", "c"), ("a", "b", "c"))) is None
+        assert next(agreeing_orderings(
+            rel(ABC, ("b", "a", "c"), ("a", "b", "c"))), None) is None
 
     def test_agreement_is_checked(self):
         rng = random.Random(13)
@@ -156,7 +160,7 @@ class TestAgreeingOrdering:
             n = rng.randint(3, 6)
             symbols = tuple("abcdef"[:n])
             relation = order_induced_relation(rng, symbols, 0.5)
-            order = find_agreeing_ordering(relation)
+            order = next(agreeing_orderings(relation), None)
             assert order is not None  # induced from a real order
             pos = {a: i for i, a in enumerate(order)}
             for y, (x, z) in relation.triples:
@@ -267,3 +271,87 @@ class TestTheoremThree:
                 for y, x, z in betweenness(m).triples_symbols():
                     assert (pos[x] < pos[y] < pos[z]
                             or pos[z] < pos[y] < pos[x])
+
+
+def lemma_models(domain, rng, rounds):
+    """The rational model, whose betweenness is empty, and seeded models of
+    four kinds: rational submodels, theta submodels, random functions and
+    lattice closures of rational functions."""
+    rational_model = enumerate_rational(domain)
+    rational = list(rational_model.functions)
+    models = [rational_model]
+    for _ in range(rounds):
+        order = rng.sample(domain.alternatives, domain.n)
+        ordering = PrimitiveOrderings.from_global(domain, order)
+        closure = lattice_closure(
+            ChoiceModel.from_functions(rng.sample(rational, 2)), ordering)
+        if domain.n <= 4:
+            theta = list(theta_model(domain, order).functions)
+        else:  # a closure of rational functions lies inside theta
+            theta = list(lattice_closure(ChoiceModel.from_functions(
+                rng.sample(rational, 4)), ordering).functions)
+        random_picks = {tuple(rng.choice(s) for s in domain.sets)
+                        for _ in range(rng.randint(1, 3))}
+        models += [
+            ChoiceModel.from_functions(rng.sample(rational, rng.randint(1, 4))),
+            ChoiceModel.from_functions(
+                rng.sample(theta, rng.randint(1, min(5, len(theta))))),
+            ChoiceModel.from_picks(domain, random_picks),
+            closure,
+        ]
+    return models
+
+
+@pytest.fixture(scope="module")
+def lemma_cases(dom3, dom4):
+    """(model, orders found by the all-orders theta scan) at n = 3, 4, 5."""
+    rng = random.Random(41)
+    models = (lemma_models(dom3, rng, 15) + lemma_models(dom4, rng, 12)
+              + lemma_models(ChoiceDomain.full("abcde"), rng, 10))
+    return [(m, theta_orders(m)) for m in models]
+
+
+class TestSingleRoute:
+    """The model lies in theta of an order iff the order agrees with the
+    model's betweenness, so one search over agreeing orders identifies."""
+
+    def test_theta_scan_is_betweenness_agreement(self, lemma_cases):
+        sizes = set()
+        for m, scan in lemma_cases:
+            relation = betweenness(m)
+            alts = m.domain.alternatives
+            agreeing = tuple(sorted(
+                tuple(alts[i] for i in o)
+                for o in itertools.permutations(range(m.domain.n))
+                if agrees(o, relation)))
+            assert agreeing == scan
+            assert tuple(sorted(agreeing_orderings(relation))) == agreeing
+            sizes.add((m.domain.n, min(len(scan), 3)))
+        # at each n, models with no order, exactly two, and more than two
+        assert sizes == {(n, k) for n in (3, 4, 5) for k in (0, 2, 3)}
+
+    def test_identify_is_the_theta_scan(self, lemma_cases):
+        axioms_fail = 0
+        for m, scan in lemma_cases:
+            orders, report = identify_primitive(m)
+            assert orders == scan
+            axioms_fail += not report.all_b123()
+        assert axioms_fail >= 5
+
+    def test_full_relation_gives_order_and_reverse(self):
+        # sB1 with B2 and B3: the order is unique up to inversion
+        rng = random.Random(43)
+        for n in range(4, 8):
+            symbols = tuple("abcdefg"[:n])
+            for _ in range(5):
+                order = tuple(rng.sample(symbols, n))
+                pos = {a: i for i, a in enumerate(order)}
+                triples = []
+                for combo in itertools.combinations(symbols, 3):
+                    x, y, z = sorted(combo, key=pos.__getitem__)
+                    triples.append((y, x, z))
+                relation = rel(symbols, *triples)
+                report = check_axioms(relation)
+                assert report.sb1 and report.all_b123()
+                assert (sorted(agreeing_orderings(relation))
+                        == sorted([order, order[::-1]]))

@@ -14,8 +14,6 @@ from choicelattice import (
     Comparison,
     GuardError,
     PrimitiveOrderings,
-    all_choice_functions,
-    all_orderings,
     argmax_model,
     enumerate_rational,
     is_chain,
@@ -34,6 +32,7 @@ from choicelattice import (
 from choicelattice.core import compare_picks, join_picks, meet_picks, order_ranks
 from choicelattice.models import theta_violation
 
+from brute import all_choice_functions, all_orderings
 from conftest import ABC, RATIONAL3, THETA3, fn, model, random_ordering
 
 
@@ -335,6 +334,15 @@ class TestMixtureClosure:
         # baab escapes the bbab/cacc pair specifically
         assert fn(dom3, "baab").picks in self._mixtures(
             fn(dom3, "bbab"), fn(dom3, "cacc"))
+
+    def test_large_product_is_closed_by_its_count(self, dom4):
+        # two functions that differ at all 11 sets, and every recombination
+        product = ChoiceModel.from_picks(
+            dom4, itertools.product(*(s[:2] for s in dom4.sets)))
+        assert len(product) == 2 ** 11
+        start = time.perf_counter()
+        assert is_mixture_closed(product) == (True, None)
+        assert time.perf_counter() - start < 1
 
 
 class TestSetContingent:

@@ -8,20 +8,22 @@ from choicelattice import (
     ChoiceDomain,
     ConstraintSystem,
     GuardError,
-    all_choice_functions,
-    all_orderings,
     build_constraints,
     compose,
     cumulative,
-    enumerate_vertices,
     function_vertex,
     heller_check,
     satisfies_rtheta,
     theta_model,
     vertex_function,
 )
-from choicelattice.polytope import _int_det, sample_subdeterminants
-
+from brute import (
+    _int_det,
+    all_choice_functions,
+    all_orderings,
+    enumerate_vertices,
+    sample_subdeterminants,
+)
 from conftest import ABC
 from test_random_choice import random_rcf
 

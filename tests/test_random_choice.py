@@ -13,8 +13,6 @@ from choicelattice import (
     GuardError,
     PrimitiveOrderings,
     RandomChoiceFunction,
-    all_choice_functions,
-    all_orderings,
     compare,
     compose,
     cumulative,
@@ -29,6 +27,7 @@ from choicelattice import (
     theta_model,
 )
 
+from brute import all_choice_functions
 from conftest import ABC, fn
 
 F = Fraction
