@@ -151,15 +151,19 @@ def load_rcf(path: str | Path) -> RandomChoiceFunction:
     raw = _need(data, "probs", path)
     if not isinstance(raw, list) or not raw:
         raise SchemaError(f"{path}: 'probs' must be a nonempty list")
-    entries = []
+    table = {}
+    seen = set()
     for entry in raw:
         members = tuple(str(a) for a in _need(entry, "set", path))
         symbol = str(_need(entry, "x", path))
-        p = _parse_fraction(_need(entry, "p", path), path)
-        entries.append((members, symbol, p))
-    sets = sorted({tuple(sorted(m)) for m, _, _ in entries})
+        key = (frozenset(members), symbol)
+        if key in seen:
+            raise SchemaError(f"{path}: set {members!r} has a second entry "
+                              f"for x = {symbol!r}")
+        seen.add(key)
+        table[members, symbol] = _parse_fraction(_need(entry, "p", path), path)
+    sets = sorted({tuple(sorted(m)) for m, _ in table})
     domain = _infer_domain(sets, data.get("alternatives"))
-    table = {(m, x): p for m, x, p in entries}
     return RandomChoiceFunction.from_table(domain, table)
 
 

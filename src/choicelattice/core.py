@@ -123,6 +123,11 @@ class ChoiceDomain:
     def set_symbols(self, position: int) -> tuple[str, ...]:
         return tuple(self.alternatives[i] for i in self.sets[position])
 
+    def symbols(self, indices: Iterable[int]) -> tuple:
+        """The symbols of alternative indices; an unknown index stays as is."""
+        alts = self.alternatives
+        return tuple(alts[x] if x in range(len(alts)) else x for x in indices)
+
     def position(self, members: Iterable[str]) -> int:
         """Position in ``sets`` of the choice set with the given symbols."""
         members = tuple(members)
@@ -190,21 +195,23 @@ class PrimitiveOrderings:
         dom = self.domain
         if len(self.per_set) != len(dom.sets):
             raise ChoiceError("one ranking per choice set is required")
-        for s, ranking in zip(dom.sets, self.per_set):
+        for si, (s, ranking) in enumerate(zip(dom.sets, self.per_set)):
             if tuple(sorted(ranking)) != s:
                 raise ChoiceError(
-                    f"ranking {ranking!r} is not a permutation of set {s!r}")
+                    f"ranking {dom.symbols(ranking)!r} is not a permutation "
+                    f"of set {dom.set_symbols(si)!r}")
         if self.global_order is not None:
             if tuple(sorted(self.global_order)) != tuple(range(dom.n)):
                 raise ChoiceError("global order must rank every alternative once")
             # a permutation of s is the restriction iff its global ranks ascend
             grank = order_ranks(self.global_order, dom.n)
-            for s, ranking in zip(dom.sets, self.per_set):
+            for si, ranking in enumerate(self.per_set):
                 ranks = [grank[x] for x in ranking]
                 if ranks != sorted(ranks):
                     raise ChoiceError(
-                        f"per-set ranking {ranking!r} is not the restriction "
-                        f"of the global order to {s!r}")
+                        f"per-set ranking {dom.symbols(ranking)!r} is not the "
+                        f"restriction of the global order to "
+                        f"{dom.set_symbols(si)!r}")
 
     @classmethod
     def from_global(cls, domain: ChoiceDomain,
@@ -318,8 +325,7 @@ class ChoiceFunction:
             raise ChoiceError("a choice function must pick from every set")
         for s, x in zip(sets, self.picks):
             if x not in s:
-                alts = self.domain.alternatives
-                pick = alts[x] if x in range(len(alts)) else x
+                pick, = self.domain.symbols((x,))
                 raise ChoiceError(
                     f"pick {pick!r} is not a member of choice set "
                     f"{self.domain.set_symbols(sets.index(s))!r}")

@@ -7,6 +7,7 @@ no tolerance at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -39,28 +40,46 @@ def as_fraction(value) -> Fraction:
     raise ChoiceError(f"not an exact rational: {value!r}")
 
 
+def _exact(value, what: str) -> Fraction:
+    """An ``int`` or ``Fraction`` entry as a ``Fraction``; nothing else passes."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ChoiceError(f"{what} {value!r} is not an int or a Fraction")
+
+
 @dataclass(frozen=True)
 class RandomChoiceFunction:
     """Per-set probability measures with exact rational weights.
 
     ``probs[si]`` is aligned with the ascending members of ``domain.sets[si]``.
+    Entries must be ``int`` or ``Fraction``; ints are stored as Fractions.
     """
 
     domain: ChoiceDomain = field(hash=False)
     probs: tuple[tuple[Fraction, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        if len(self.probs) != len(self.domain.sets):
+        dom = self.domain
+        if len(self.probs) != len(dom.sets):
             raise ChoiceError("one probability row per choice set is required")
-        for si, (s, row) in enumerate(zip(self.domain.sets, self.probs)):
+        rows = []
+        for si, (s, row) in enumerate(zip(dom.sets, self.probs)):
             if len(row) != len(s):
                 raise ChoiceError("one probability per set member is required")
-            if any(p < 0 for p in row):
+            if not all(type(p) is Fraction for p in row):
+                what = f"probability over {dom.set_symbols(si)!r}"
+                row = tuple(_exact(p, what) for p in row)
+            if any(p.numerator < 0 for p in row):
                 raise ChoiceError("probabilities must be nonnegative")
-            if sum(row) != ONE:
+            common = math.lcm(*(p.denominator for p in row))
+            if sum(p.numerator * (common // p.denominator) for p in row) != common:
                 raise ChoiceError(
-                    f"probabilities over {self.domain.set_symbols(si)!r} "
+                    f"probabilities over {dom.set_symbols(si)!r} "
                     f"sum to {sum(row)}, not 1")
+            rows.append(tuple(row))
+        object.__setattr__(self, "probs", tuple(rows))
 
     @classmethod
     def from_table(cls, domain: ChoiceDomain,
@@ -75,9 +94,6 @@ class RandomChoiceFunction:
     def probability(self, members: Iterable[str], symbol: str) -> Fraction:
         pos, i = _slot(self.domain, members, symbol)
         return self.probs[pos][i]
-
-    def prob_by_index(self, set_position: int, x: int) -> Fraction:
-        return self.probs[set_position][self.domain.sets[set_position].index(x)]
 
 
 def _slot(domain: ChoiceDomain, members: Iterable[str],
@@ -104,13 +120,18 @@ class CumulativeRCF:
 
 @dataclass(frozen=True)
 class ProgressiveRepresentation:
-    """Positive weights on a strictly decreasing chain of choice functions."""
+    """Positive weights on a strictly decreasing chain of choice functions.
+
+    Weights must be ``int`` or ``Fraction``; ints are stored as Fractions.
+    """
 
     components: tuple[tuple[Fraction, ChoiceFunction], ...]
 
     def __post_init__(self) -> None:
         if not self.components:
             raise ChoiceError("a representation needs at least one component")
+        object.__setattr__(self, "components", tuple(
+            (_exact(w, "component weight"), c) for w, c in self.components))
         if any(w <= 0 for w, _ in self.components):
             raise ChoiceError("component weights must be positive")
         if sum(w for w, _ in self.components) != ONE:
@@ -128,7 +149,12 @@ class ProgressiveRepresentation:
 
 def compose(dist: Mapping[ChoiceFunction, Fraction | int | str]
             ) -> RandomChoiceFunction:
-    """The random choice function induced by a probability distribution."""
+    """The random choice function induced by a probability distribution.
+
+    Each weight becomes an ``int`` count of units 1/L, where L is the lcm of
+    the weights' denominators.  The counts add up per (set, pick) through a
+    member-to-slot table per set, and each entry is divided by L once.
+    """
     if not dist:
         raise ChoiceError("a distribution needs at least one choice function")
     functions = list(dist)
@@ -141,15 +167,19 @@ def compose(dist: Mapping[ChoiceFunction, Fraction | int | str]
         if w < 0:
             raise ChoiceError("weights must be nonnegative")
         weights.append(w)
-    if sum(weights) != ONE:
+    common = math.lcm(*(w.denominator for w in weights))
+    units = [w.numerator * (common // w.denominator) for w in weights]
+    if sum(units) != common:
         raise ChoiceError(f"weights sum to {sum(weights)}, not 1")
-    rows = [[ZERO] * len(s) for s in dom.sets]
-    for c, w in zip(functions, weights):
-        if w == 0:
+    slots = [{x: i for i, x in enumerate(s)} for s in dom.sets]
+    rows = [[0] * len(s) for s in dom.sets]
+    for c, u in zip(functions, units):
+        if u == 0:
             continue
-        for si, x in enumerate(c.picks):
-            rows[si][dom.sets[si].index(x)] += w
-    return RandomChoiceFunction(dom, tuple(tuple(r) for r in rows))
+        for row, slot, x in zip(rows, slots, c.picks):
+            row[slot[x]] += u
+    return RandomChoiceFunction(dom, tuple(
+        tuple(Fraction(v, common) for v in row) for row in rows))
 
 
 def deterministic(c: ChoiceFunction) -> RandomChoiceFunction:
@@ -161,25 +191,40 @@ def cumulative(rcf: RandomChoiceFunction,
     """Cumulative form: value at (y, S) sums the weight strictly above y."""
     dom = rcf.domain
     grank = order_ranks(dom.order_index(global_order), dom.n)
-    strict, _ = _cumulatives(rcf, grank)
-    return CumulativeRCF(dom, tuple(tuple(row) for row in strict))
+    common, strict, _ = _cumulatives(rcf, grank)
+    return CumulativeRCF(dom, tuple(
+        tuple(Fraction(v, common) for v in row) for row in strict))
 
 
-def _cumulatives(rcf: RandomChoiceFunction, grank: Sequence[int]):
-    """Per (set, member): mass strictly above, and mass at or above."""
+def _scaled(rcf: RandomChoiceFunction) -> tuple[int, list[list[int]]]:
+    """D, the lcm of the RCF's denominators, and each probability times D."""
+    common = math.lcm(*(p.denominator for row in rcf.probs for p in row))
+    return common, [[p.numerator * (common // p.denominator) for p in row]
+                    for row in rcf.probs]
+
+
+def _cumulatives(rcf: RandomChoiceFunction, grank: Sequence[int]
+                 ) -> tuple[int, list[list[int]], list[list[int]]]:
+    """Per (set, member): mass strictly above, and mass at or above.
+
+    Both are ``int`` multiples of 1/D, where D is the lcm of the RCF's
+    denominators; D comes first in the result.  Comparisons between them
+    need no division, and ``cumulative`` divides each entry by D once.
+    """
+    common, units = _scaled(rcf)
     strict, weak = [], []
-    for s, row in zip(rcf.domain.sets, rcf.probs):
+    for s, row in zip(rcf.domain.sets, units):
         by_rank = sorted(range(len(s)), key=lambda i: grank[s[i]])
-        up = [ZERO] * len(s)
-        at = [ZERO] * len(s)
-        acc = ZERO
+        up = [0] * len(s)
+        at = [0] * len(s)
+        acc = 0
         for i in by_rank:
             up[i] = acc
             acc += row[i]
             at[i] = acc
         strict.append(up)
         weak.append(at)
-    return strict, weak
+    return common, strict, weak
 
 
 def decompose_progressive(rcf: RandomChoiceFunction,
@@ -192,42 +237,57 @@ def decompose_progressive(rcf: RandomChoiceFunction,
     its length is the component weight.  This deterministic sweep replaces
     the uniform draw of the randomized description: the component weights
     are exactly the segment lengths.
+
+    The sweep runs on integers.  Every probability is scaled once by D, the
+    lcm of the RCF's denominators, so the endpoints are ``int``s in (0, D].
+    Each set keeps a pointer to its current interval, and the breakpoints
+    ascend, so a pointer only moves forward: O(sets x (members +
+    breakpoints)) integer comparisons in all.  A weight becomes the
+    ``Fraction`` w / D only when the representation is built.
     """
     dom = rcf.domain
     if ordering.domain != dom:
         raise DomainMismatchError("orderings live on a different domain")
-    # Interval layout per set: upper endpoint of each positive-weight member.
-    layouts = []
-    cuts = {ONE}
-    for si, ranking in enumerate(ordering.per_set):
-        acc = ZERO
-        bounds = []  # (upper endpoint, member) in ranking order
+    common, units = _scaled(rcf)
+    # Per set, best first: each positive-weight member and the upper end of
+    # its interval, in units of 1/D.  Every set's last end is D.
+    uppers: list[list[int]] = []
+    members: list[list[int]] = []
+    cuts: set[int] = set()
+    for s, ranking, row in zip(dom.sets, ordering.per_set, units):
+        weight = dict(zip(s, row))
+        acc = 0
+        ends, xs = [], []
         for x in ranking:
-            p = rcf.prob_by_index(si, x)
-            if p > 0:
-                acc += p
-                bounds.append((acc, x))
-                cuts.add(acc)
-        layouts.append(bounds)
+            if weight[x]:
+                acc += weight[x]
+                ends.append(acc)
+                xs.append(x)
+        cuts.update(ends)
+        uppers.append(ends)
+        members.append(xs)
     breakpoints = sorted(cuts)
-    components: list[tuple[Fraction, tuple[int, ...]]] = []
-    prev = ZERO
-    for r in breakpoints:
-        picks = []
-        for bounds in layouts:
-            for upper, x in bounds:
-                if r <= upper:
-                    picks.append(x)
-                    break
-        weight = r - prev
-        picks_t = tuple(picks)
-        if components and components[-1][1] == picks_t:
-            components[-1] = (components[-1][0] + weight, picks_t)
+    # Per set, its pick on each segment: a pointer walks the set's
+    # intervals forward as the breakpoints ascend.
+    columns = []
+    for ends, xs in zip(uppers, members):
+        i = 0
+        column = []
+        for r in breakpoints:
+            while ends[i] < r:
+                i += 1
+            column.append(xs[i])
+        columns.append(column)
+    components: list[list] = []  # [units, picks]
+    prev = 0
+    for r, picks in zip(breakpoints, zip(*columns)):
+        if components and components[-1][1] == picks:
+            components[-1][0] += r - prev
         else:
-            components.append((weight, picks_t))
+            components.append([r - prev, picks])
         prev = r
     rep = ProgressiveRepresentation(tuple(
-        (w, ChoiceFunction(dom, p)) for w, p in components))
+        (Fraction(w, common), ChoiceFunction(dom, p)) for w, p in components))
     _assert_decreasing_chain(rep, ordering)
     return rep
 
@@ -303,12 +363,14 @@ def satisfies_rtheta(rcf: RandomChoiceFunction, global_order: Sequence[str]
     better than y.  The at-or-above form in the first axiom and the
     strictly-above form in the second are each exactly what the
     deterministic axioms become under point masses; together they
-    characterize mixtures over the minimal rational extension.
+    characterize mixtures over the minimal rational extension.  The
+    comparisons run on the ``int`` cumulatives of ``_cumulatives``: all of
+    them share the scale D, so no division is needed.
     """
     dom = rcf.domain
     dom.require_full("the random theta axioms")
     grank = order_ranks(dom.order_index(global_order), dom.n)
-    strict, weak = _cumulatives(rcf, grank)
+    _, strict, weak = _cumulatives(rcf, grank)
     alts = dom.alternatives
     for si, s in enumerate(dom.sets):
         if len(s) < 3:

@@ -5,7 +5,10 @@ route the package takes: every choice function of a domain, every order of
 a symbol set, the vertices of the cumulative polytope by halfspace
 insertion, sampled subdeterminants of its rows, a local betweenness order
 by trying every permutation, and the orders whose theta model contains a
-model by testing the theta axioms under all n! orders.
+model by testing the theta axioms under all n! orders.  The progressive
+sweep, the cumulatives, the random theta axioms and ``compose`` are here
+too, on ``Fraction``s throughout, as the references for the package's
+integer routes.
 """
 
 from __future__ import annotations
@@ -13,9 +16,18 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from choicelattice import BetweennessRelation, ChoiceDomain, ChoiceModel, GuardError
+from choicelattice import (
+    BetweennessRelation,
+    ChoiceDomain,
+    ChoiceFunction,
+    ChoiceModel,
+    GuardError,
+    PrimitiveOrderings,
+    RandomChoiceFunction,
+    RThetaViolation,
+)
 from choicelattice.core import order_ranks
 from choicelattice.models import theta_violation
 from choicelattice.polytope import ConstraintSystem
@@ -241,3 +253,93 @@ def _int_det(matrix: list[list[int]]) -> int:
             mat[i][k] = 0
         prev = mat[k][k]
     return sign * mat[n - 1][n - 1]
+
+
+def fraction_sweep(rcf: RandomChoiceFunction, ordering: PrimitiveOrderings
+                   ) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """The progressive representation as (weight, picks), on Fractions.
+
+    At every breakpoint each set's interval list is scanned from its start.
+    """
+    dom = rcf.domain
+    layouts = []
+    cuts = {ONE}
+    for si, ranking in enumerate(ordering.per_set):
+        acc = ZERO
+        bounds = []  # (upper endpoint, member) in ranking order
+        for x in ranking:
+            p = rcf.probs[si][dom.sets[si].index(x)]
+            if p > 0:
+                acc += p
+                bounds.append((acc, x))
+                cuts.add(acc)
+        layouts.append(bounds)
+    components: list[tuple[Fraction, tuple[int, ...]]] = []
+    prev = ZERO
+    for r in sorted(cuts):
+        picks = []
+        for bounds in layouts:
+            for upper, x in bounds:
+                if r <= upper:
+                    picks.append(x)
+                    break
+        weight = r - prev
+        picks_t = tuple(picks)
+        if components and components[-1][1] == picks_t:
+            components[-1] = (components[-1][0] + weight, picks_t)
+        else:
+            components.append((weight, picks_t))
+        prev = r
+    return components
+
+
+def fraction_cumulatives(rcf: RandomChoiceFunction, grank: Sequence[int]):
+    """Per (set, member): mass strictly above, and mass at or above."""
+    strict, weak = [], []
+    for s, row in zip(rcf.domain.sets, rcf.probs):
+        by_rank = sorted(range(len(s)), key=lambda i: grank[s[i]])
+        up = [ZERO] * len(s)
+        at = [ZERO] * len(s)
+        acc = ZERO
+        for i in by_rank:
+            up[i] = acc
+            acc += row[i]
+            at[i] = acc
+        strict.append(up)
+        weak.append(at)
+    return strict, weak
+
+
+def fraction_rtheta(rcf: RandomChoiceFunction, global_order: Sequence[str]
+                    ) -> tuple[bool, RThetaViolation | None]:
+    """The random theta axioms on Fraction cumulatives, first witness first."""
+    dom = rcf.domain
+    grank = order_ranks(dom.order_index(global_order), dom.n)
+    strict, weak = fraction_cumulatives(rcf, grank)
+    alts = dom.alternatives
+    for si, s in enumerate(dom.sets):
+        for x, sub in dom.removal_position[si].items():
+            s_sub = dom.sets[sub]
+            for y in s:
+                if y == x:
+                    continue
+                here, there = s.index(y), s_sub.index(y)
+                if grank[y] < grank[x]:
+                    if weak[sub][there] < weak[si][here]:
+                        return False, RThetaViolation(
+                            dom.set_symbols(si), alts[x], alts[y], "rtheta1")
+                elif strict[si][here] < strict[sub][there]:
+                    return False, RThetaViolation(
+                        dom.set_symbols(si), alts[x], alts[y], "rtheta2")
+    return True, None
+
+
+def fraction_compose(dist: Mapping[ChoiceFunction, Fraction]
+                     ) -> tuple[tuple[Fraction, ...], ...]:
+    """The probability rows of a distribution, adding Fraction weights."""
+    dom = next(iter(dist)).domain
+    rows = [[ZERO] * len(s) for s in dom.sets]
+    for c, w in dist.items():
+        for si, x in enumerate(c.picks):
+            rows[si][dom.sets[si].index(x)] += w
+    return tuple(tuple(r) for r in rows)

@@ -75,6 +75,16 @@ INPUTS = {
                            ("ac", "a", "1"), ("bc", "b", "1")]),
     "bad_symbol.json": _rcf([("abc", "a", "1"), ("ab", "a", "1"),
                              ("ac", "z", "1"), ("bc", "b", "1")]),
+    # The same (set, x) twice, the set spelt in both orders.
+    "rcf_duplicate.json": _rcf([("ab", "a", "1/2"), ("ba", "a", "1/4"),
+                                ("ab", "b", "3/4")]),
+    "rcf_duplicate_reversed.json": _rcf([("ba", "a", "1/4"), ("ab", "a", "1/2"),
+                                         ("ab", "b", "3/4")]),
+    "per_set_short.json": {"per_set": [
+        {"set": ["a", "b", "c"], "rank": ["b", "a", "c"]},
+        {"set": ["a", "b"], "rank": ["a"]},
+        {"set": ["a", "c"], "rank": ["c", "a"]},
+        {"set": ["b", "c"], "rank": ["b", "c"]}]},
 }
 
 # name: (argv, exit code, stderr)
@@ -135,6 +145,17 @@ CASES = {
         "error: pick 'a' is not a member of choice set ('b', 'c')\n"),
     "invariant_rcf_symbol": (["decompose", "bad_symbol.json", "ord.json"], 3,
                              "error: 'z' is not a member of ('a', 'c')\n"),
+    "invariant_short_ranking": (
+        ["decompose", "rcf.json", "per_set_short.json"], 3,
+        "error: ranking ('a',) is not a permutation of set ('a', 'b')\n"),
+    "schema_rcf_duplicate": (
+        ["decompose", "rcf_duplicate.json", "ord.json"], 2,
+        "error: rcf_duplicate.json: set ('b', 'a') has a second entry "
+        "for x = 'a'\n"),
+    "schema_rcf_duplicate_reversed": (
+        ["decompose", "rcf_duplicate_reversed.json", "ord.json"], 2,
+        "error: rcf_duplicate_reversed.json: set ('a', 'b') has a second "
+        "entry for x = 'a'\n"),
     "usage_rtheta_no_orderings": (["check", "rcf.json", "--rtheta"], 2,
                                   "error: this check needs an orderings file\n"),
     "usage_theta_per_set": (

@@ -55,6 +55,17 @@ def test_per_set_orders_are_restrictions(dom3, ord3):
                            (0, 1, 2))
 
 
+def test_ordering_errors_name_symbols(dom3):
+    with pytest.raises(ChoiceError, match=r"^ranking \('a',\) is not a "
+                       r"permutation of set \('a', 'b'\)$"):
+        PrimitiveOrderings(dom3, ((0, 1, 2), (0,), (0, 2), (1, 2)))
+    with pytest.raises(ChoiceError, match=r"^per-set ranking \('c', 'b'\) is "
+                       r"not the restriction of the global order to "
+                       r"\('b', 'c'\)$"):
+        PrimitiveOrderings(dom3, ((0, 1, 2), (0, 1), (0, 2), (2, 1)),
+                           (0, 1, 2))
+
+
 def test_set_dependent_orderings_supported(dom3):
     ords = PrimitiveOrderings.from_per_set(
         dom3, [("a", "b", "c"), ("b", "a"), ("c", "a"), ("b", "c")])

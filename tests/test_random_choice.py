@@ -1,5 +1,8 @@
+import functools
 import itertools
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,7 @@ from choicelattice import (
     Comparison,
     GuardError,
     PrimitiveOrderings,
+    ProgressiveRepresentation,
     RandomChoiceFunction,
     compare,
     compose,
@@ -27,8 +31,14 @@ from choicelattice import (
     theta_model,
 )
 
-from brute import all_choice_functions
-from conftest import ABC, fn
+from brute import (
+    all_choice_functions,
+    fraction_compose,
+    fraction_cumulatives,
+    fraction_rtheta,
+    fraction_sweep,
+)
+from conftest import ABC, fn, random_ordering
 
 F = Fraction
 
@@ -74,6 +84,28 @@ class TestCompose:
         rows = [tuple(F(0) for _ in s) for s in dom3.sets]
         with pytest.raises(ChoiceError):
             RandomChoiceFunction(dom3, tuple(rows))
+
+
+class TestExactEntries:
+    def test_ints_become_fractions(self, dom3):
+        rows = tuple((1,) + (0,) * (len(s) - 1) for s in dom3.sets)
+        rho = RandomChoiceFunction(dom3, rows)
+        assert all(type(p) is F for row in rho.probs for p in row)
+        assert rho == deterministic(ChoiceFunction(dom3, (0, 0, 0, 1)))
+        rep = ProgressiveRepresentation(((1, fn(dom3, "aaab")),))
+        assert type(rep.weights()[0]) is F
+
+    @pytest.mark.parametrize("bad", [0.5, "1/2", True])
+    def test_other_entries_are_refused(self, dom3, bad):
+        rows = [tuple(F(1, len(s)) for _ in s) for s in dom3.sets]
+        rows[1] = (bad, F(1, 2))
+        with pytest.raises(ChoiceError, match=r"^probability over \('a', 'b'\) "
+                           + re.escape(repr(bad)) + " is not an int or a Fraction$"):
+            RandomChoiceFunction(dom3, tuple(rows))
+        with pytest.raises(ChoiceError, match="^component weight "
+                           + re.escape(repr(bad)) + " is not an int or a Fraction$"):
+            ProgressiveRepresentation(((bad, fn(dom3, "aaab")),
+                                       (F(1, 2), fn(dom3, "bbcc"))))
 
 
 class TestCumulative:
@@ -299,3 +331,106 @@ class TestDecomposeTheta:
     def test_rejects_violating_input(self, example1_rcf):
         with pytest.raises(ChoiceError):
             decompose_theta(example1_rcf, ABC)
+
+
+@functools.cache
+def _primes_from(low, count):
+    """The first ``count`` primes at or above ``low``."""
+    found = []
+    k = low
+    while len(found) < count:
+        if all(k % d for d in range(2, math.isqrt(k) + 1)):
+            found.append(k)
+        k += 1
+    return tuple(found)
+
+
+def _rcf_with_zeros(domain, rng):
+    """Random rows in which about a third of the members get probability 0."""
+    rows = []
+    for s in domain.sets:
+        raw = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in s]
+        raw[rng.randrange(len(s))] += 1
+        rows.append(tuple(F(w, sum(raw)) for w in raw))
+    return RandomChoiceFunction(domain, tuple(rows))
+
+
+def _rcf_over_primes(domain, rng):
+    """Row i over the i-th prime from 65,537, so that D is their product."""
+    rows = []
+    for s, p in zip(domain.sets, _primes_from(65_537, len(domain.sets))):
+        cut = sorted(rng.randrange(p + 1) for _ in s[1:])
+        parts = [b - a for a, b in zip([0, *cut], [*cut, p])]
+        rows.append(tuple(F(w, p) for w in parts))
+    return RandomChoiceFunction(domain, tuple(rows))
+
+
+def _rational_mixture(domain, rng, k):
+    """Mixture of k maximizers of random orders (it passes the random axioms).
+
+    The raw weights have prime denominators, so their lcm grows with k.
+    """
+    dist = {}
+    while len(dist) < k:
+        rank = rng.sample(range(domain.n), domain.n)
+        c = ChoiceFunction(domain, tuple(min(s, key=rank.__getitem__)
+                                         for s in domain.sets))
+        dist[c] = F(rng.randint(1, 9), rng.choice(_primes_from(101, 9)))
+    total = sum(dist.values())
+    return {c: w / total for c, w in dist.items()}
+
+
+class TestIntegerRoute:
+    """The integer sweep, cumulatives and compose against Fraction references."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, dom3, dom4):
+        # (rcf, mixture or None) at n = 3 to 7: random, zero-heavy and
+        # prime-denominator rows, and rational mixtures with prime weights
+        rng = random.Random(13449)
+        out = []
+        domains = [dom3, dom4] + [ChoiceDomain.full("abcdefg"[:n])
+                                  for n in (5, 6, 7)]
+        for domain in domains:
+            count = 4 if domain.n <= 5 else 1
+            for _ in range(count):
+                out.append((random_rcf(domain, rng), None))
+                out.append((_rcf_with_zeros(domain, rng), None))
+                out.append((_rcf_over_primes(domain, rng), None))
+                dist = _rational_mixture(domain, rng, rng.randint(2, 6))
+                out.append((compose(dist), dist))
+        return out
+
+    def test_some_denominator_exceeds_64_bits(self, cases):
+        commons = [math.lcm(*(p.denominator for row in rho.probs for p in row))
+                   for rho, _ in cases]
+        assert sum(d > 2 ** 64 for d in commons) >= 5
+        assert any(p == 0 for rho, _ in cases for row in rho.probs for p in row)
+
+    def test_sweep_equals_fraction_sweep(self, cases):
+        rng = random.Random(7)
+        for rho, _ in cases:
+            for per_set in (False, True):
+                ordering = random_ordering(rng, rho.domain, per_set)
+                rep = decompose_progressive(rho, ordering)
+                assert ([(w, c.picks) for w, c in rep.components]
+                        == fraction_sweep(rho, ordering))
+
+    def test_cumulatives_and_axioms_equal_fraction_references(self, cases):
+        rng = random.Random(11)
+        verdicts = set()
+        for rho, dist in cases:
+            order = rng.sample(rho.domain.alternatives, rho.domain.n)
+            grank = [order.index(a) for a in rho.domain.alternatives]
+            strict, _ = fraction_cumulatives(rho, grank)
+            assert cumulative(rho, order).values == tuple(map(tuple, strict))
+            answer = satisfies_rtheta(rho, order)
+            assert answer == fraction_rtheta(rho, order)
+            assert answer[0] or dist is None
+            verdicts.add(answer[0])
+        assert verdicts == {True, False}
+
+    def test_compose_equals_fraction_compose(self, cases):
+        for rho, dist in cases:
+            if dist is not None:
+                assert rho.probs == fraction_compose(dist)
