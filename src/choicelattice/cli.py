@@ -1,7 +1,6 @@
 """Command-line front end and JSON file formats.
 
 Schemas (all JSON, UTF-8):
-  domain     {"alternatives": [...], "sets": [[...], ...]}
   orderings  {"global": [best, ..., worst]}
              or {"per_set": [{"set": [...], "rank": [...]}, ...]}
   model      {"functions": [{"picks": [{"set": [...], "x": "..."}, ...]}, ...]}
@@ -9,15 +8,21 @@ Schemas (all JSON, UTF-8):
              both keyed to the canonical set order (a top-level "sets" key
              pins that order when no function spells its sets out)
   rcf        {"probs": [{"set": [...], "x": "...", "p": "p/q"}, ...]}
+             model and rcf files may pin the symbols with "alternatives"
 
-Exit codes: 0 pass, 1 semantic fail, 2 usage, parse or schema error,
-3 invariant violation in the input data.  All output is deterministic byte
-for byte.
+Every value shown as [...] must be a JSON list.  A model's "sets", a
+function, a per-set orderings file, and an rcf file (for each x) may list
+a set only once, whatever the order its members are written in.
+
+Exit codes: 0 pass, 1 semantic fail, 2 usage, parse or schema error
+(a wrong JSON type or a set listed twice included), 3 invariant violation
+in the input data.  All output is deterministic byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -74,6 +79,23 @@ def _need(obj: Any, key: str, path) -> Any:
     return obj[key]
 
 
+def _list(value: Any, key: str, path) -> list:
+    """A value that the schema spells as a JSON list, found under ``key``."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{path}: {key!r} must be a list, "
+                          f"not {type(value).__name__}")
+    return value
+
+
+def _symbols(value: Any, key: str, path) -> tuple[str, ...]:
+    """A list of symbols, each as a string."""
+    return tuple(map(str, _list(value, key, path)))
+
+
+def _second_entry(path, members: Sequence[str], where: str) -> SchemaError:
+    return SchemaError(f"{path}: {where} has a second entry for set {members!r}")
+
+
 def _parse_fraction(text: Any, path) -> Fraction:
     try:
         return Fraction(str(text))
@@ -81,10 +103,12 @@ def _parse_fraction(text: Any, path) -> Fraction:
         raise SchemaError(f"{path}: bad rational {text!r} ({exc})") from None
 
 
-def _infer_domain(sets: list[tuple[str, ...]],
-                  alternatives: Sequence[str] | None) -> ChoiceDomain:
+def _infer_domain(sets: list[tuple[str, ...]], data: dict, path) -> ChoiceDomain:
+    alternatives = data.get("alternatives")
     if alternatives is None:
         alternatives = sorted({a for s in sets for a in s})
+    else:
+        alternatives = _symbols(alternatives, "alternatives", path)
     try:
         return ChoiceDomain.from_symbols(alternatives, sets)
     except DomainMismatchError as exc:
@@ -98,32 +122,30 @@ def _position(domain: ChoiceDomain, members: Sequence[str], path) -> int:
         raise SchemaError(f"{path}: {exc}") from None
 
 
-def load_domain(path: str | Path) -> ChoiceDomain:
-    data = _read_json(path)
-    alts = _need(data, "alternatives", path)
-    sets = _need(data, "sets", path)
-    try:
-        return ChoiceDomain.from_symbols(alts, sets)
-    except DomainMismatchError as exc:
-        raise SchemaError(str(exc)) from None
-
-
 def load_model(path: str | Path) -> ChoiceModel:
     data = _read_json(path)
     raw = _need(data, "functions", path)
     if not isinstance(raw, list) or not raw:
         raise SchemaError(f"{path}: 'functions' must be a nonempty list")
     explicit = [f for f in raw if isinstance(f, dict)]
-    sets: list[tuple[str, ...]] = []
     if "sets" in data:
-        sets = [tuple(str(a) for a in s) for s in data["sets"]]
+        where = "'sets'"
+        sets = [_symbols(s, f"sets[{i}]", path)
+                for i, s in enumerate(_list(data["sets"], "sets", path))]
     elif explicit:
-        picks = _need(explicit[0], "picks", path)
-        sets = [tuple(str(a) for a in _need(entry, "set", path))
-                for entry in picks]
+        where = "a function"
+        sets = [_symbols(_need(entry, "set", path), "set", path)
+                for entry in _list(_need(explicit[0], "picks", path), "picks", path)]
     else:
         raise SchemaError(f"{path}: compact functions need a top-level 'sets' key")
-    domain = _infer_domain(sets, data.get("alternatives"))
+    seen = set()
+    for members in sets:
+        if frozenset(members) in seen:
+            raise _second_entry(path, members, where)
+        seen.add(frozenset(members))
+    domain = _infer_domain(sets, data, path)
+    # Each distinct spelling of a set is resolved once per file.
+    positions: dict[tuple[str, ...], int] = {}
     functions = []
     for f in raw:
         if isinstance(f, str):
@@ -132,9 +154,13 @@ def load_model(path: str | Path) -> ChoiceModel:
             functions.append(ChoiceFunction.from_symbols(domain, [str(x) for x in f]))
         elif isinstance(f, dict):
             by_set = {}
-            for entry in _need(f, "picks", path):
-                members = [str(a) for a in _need(entry, "set", path)]
-                pos = _position(domain, members, path)
+            for entry in _list(_need(f, "picks", path), "picks", path):
+                members = _symbols(_need(entry, "set", path), "set", path)
+                pos = positions.get(members)
+                if pos is None:
+                    pos = positions[members] = _position(domain, members, path)
+                if pos in by_set:
+                    raise _second_entry(path, members, "a function")
                 by_set[pos] = str(_need(entry, "x", path))
             try:
                 picks = [by_set[si] for si in range(len(domain.sets))]
@@ -154,7 +180,7 @@ def load_rcf(path: str | Path) -> RandomChoiceFunction:
     table = {}
     seen = set()
     for entry in raw:
-        members = tuple(str(a) for a in _need(entry, "set", path))
+        members = _symbols(_need(entry, "set", path), "set", path)
         symbol = str(_need(entry, "x", path))
         key = (frozenset(members), symbol)
         if key in seen:
@@ -163,7 +189,7 @@ def load_rcf(path: str | Path) -> RandomChoiceFunction:
         seen.add(key)
         table[members, symbol] = _parse_fraction(_need(entry, "p", path), path)
     sets = sorted({tuple(sorted(m)) for m, _ in table})
-    domain = _infer_domain(sets, data.get("alternatives"))
+    domain = _infer_domain(sets, data, path)
     return RandomChoiceFunction.from_table(domain, table)
 
 
@@ -171,13 +197,15 @@ def load_orderings(path: str | Path, domain: ChoiceDomain) -> PrimitiveOrderings
     data = _read_json(path)
     if isinstance(data, dict) and "global" in data:
         return PrimitiveOrderings.from_global(
-            domain, [str(a) for a in data["global"]])
+            domain, _symbols(data["global"], "global", path))
     if isinstance(data, dict) and "per_set" in data:
         by_set = {}
-        for entry in data["per_set"]:
-            members = [str(a) for a in _need(entry, "set", path)]
-            by_set[_position(domain, members, path)] = [
-                str(a) for a in _need(entry, "rank", path)]
+        for entry in _list(data["per_set"], "per_set", path):
+            members = _symbols(_need(entry, "set", path), "set", path)
+            pos = _position(domain, members, path)
+            if pos in by_set:
+                raise _second_entry(path, members, "per_set")
+            by_set[pos] = _symbols(_need(entry, "rank", path), "rank", path)
         try:
             rankings = [by_set[si] for si in range(len(domain.sets))]
         except KeyError:
@@ -197,14 +225,20 @@ def func_repr(c: ChoiceFunction) -> Any:
 
 
 def model_json(model: ChoiceModel) -> dict:
+    """The model file of a model.
+
+    Each set's symbol list and each (set, pick) entry is built once, and
+    every function that makes that pick shares the entry.
+    """
     dom = model.domain
+    sets = [list(dom.set_symbols(i)) for i in range(len(dom.sets))]
+    entries = [{x: {"set": symbols, "x": dom.alternatives[x]} for x in s}
+               for s, symbols in zip(dom.sets, sets)]
     return {
         "alternatives": list(dom.alternatives),
-        "sets": [list(dom.set_symbols(i)) for i in range(len(dom.sets))],
+        "sets": sets,
         "functions": [
-            {"picks": [{"set": list(dom.set_symbols(si)),
-                        "x": dom.alternatives[x]}
-                       for si, x in enumerate(c.picks)]}
+            {"picks": [row[x] for row, x in zip(entries, c.picks)]}
             for c in model.functions],
     }
 
@@ -213,10 +247,11 @@ def rcf_json(rcf: RandomChoiceFunction) -> dict:
     dom = rcf.domain
     probs = []
     for si, s in enumerate(dom.sets):
+        symbols = list(dom.set_symbols(si))
         for pos, x in enumerate(s):
             p = rcf.probs[si][pos]
             if p != 0:
-                probs.append({"set": list(dom.set_symbols(si)),
+                probs.append({"set": symbols,
                               "x": dom.alternatives[x], "p": str(p)})
     return {"alternatives": list(dom.alternatives), "probs": probs}
 
@@ -395,9 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except SchemaError as exc:

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import contains
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 
@@ -115,6 +116,22 @@ class ChoiceDomain:
                         row[x] = pos
             table.append(row)
         return tuple(table)
+
+    @cached_property
+    def removal_pairs(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Per set position p, the removals (S, x, S \\ {x}) that read p.
+
+        Each removal appears as (position of S, x, position of S \\ {x})
+        under both of its positions.  A choice-overload comparison at (S, x)
+        reads only the picks at S and S \\ {x}, so these are the comparisons
+        that a new pick at p can change.
+        """
+        table: list[list[tuple[int, int, int]]] = [[] for _ in self.sets]
+        for si, row in enumerate(self.removal_position):
+            for x, sub in row.items():
+                table[si].append((si, x, sub))
+                table[sub].append((si, x, sub))
+        return tuple(map(tuple, table))
 
     @cached_property
     def is_full(self) -> bool:
@@ -323,6 +340,8 @@ class ChoiceFunction:
         sets = self.domain.sets
         if len(self.picks) != len(sets):
             raise ChoiceError("a choice function must pick from every set")
+        if all(map(contains, sets, self.picks)):
+            return
         for s, x in zip(sets, self.picks):
             if x not in s:
                 pick, = self.domain.symbols((x,))

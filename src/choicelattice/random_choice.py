@@ -10,17 +10,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
+from operator import ne
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
     ChoiceDomain,
     ChoiceError,
     ChoiceFunction,
-    Comparison,
     DomainMismatchError,
     GuardError,
     PrimitiveOrderings,
-    compare_picks,
     order_ranks,
 )
 from .models import ChoiceModel, theta_violation
@@ -84,10 +84,19 @@ class RandomChoiceFunction:
     @classmethod
     def from_table(cls, domain: ChoiceDomain,
                    table: Mapping) -> "RandomChoiceFunction":
-        """Build from {(set symbols tuple/frozenset, symbol): weight}."""
+        """Build from {(set symbols tuple/frozenset, symbol): weight}.
+
+        Two keys that name the same set, in any spelling, and the same
+        symbol are refused.
+        """
         rows = [[ZERO] * len(s) for s in domain.sets]
+        filled = set()
         for (members, symbol), p in table.items():
             pos, i = _slot(domain, members, symbol)
+            if (pos, i) in filled:
+                raise ChoiceError(f"set {domain.set_symbols(pos)!r} has a second "
+                                  f"entry for x = {symbol!r}")
+            filled.add((pos, i))
             rows[pos][i] = as_fraction(p)
         return cls(domain, tuple(tuple(r) for r in rows))
 
@@ -123,6 +132,10 @@ class ProgressiveRepresentation:
     """Positive weights on a strictly decreasing chain of choice functions.
 
     Weights must be ``int`` or ``Fraction``; ints are stored as Fractions.
+    The weights must sum to one: each is scaled to an ``int`` over L, the
+    lcm of their denominators, and the ints must add up to L, as in
+    ``compose``.  The chain itself is checked where it is built
+    (``decompose_progressive`` and ``decompose_theta``).
     """
 
     components: tuple[tuple[Fraction, ChoiceFunction], ...]
@@ -134,7 +147,9 @@ class ProgressiveRepresentation:
             (_exact(w, "component weight"), c) for w, c in self.components))
         if any(w <= 0 for w, _ in self.components):
             raise ChoiceError("component weights must be positive")
-        if sum(w for w, _ in self.components) != ONE:
+        common = math.lcm(*(w.denominator for w, _ in self.components))
+        if sum(w.numerator * (common // w.denominator)
+               for w, _ in self.components) != common:
             raise ChoiceError("component weights must sum to one")
 
     def functions(self) -> tuple[ChoiceFunction, ...]:
@@ -191,7 +206,8 @@ def cumulative(rcf: RandomChoiceFunction,
     """Cumulative form: value at (y, S) sums the weight strictly above y."""
     dom = rcf.domain
     grank = order_ranks(dom.order_index(global_order), dom.n)
-    common, strict, _ = _cumulatives(rcf, grank)
+    common, units = _scaled(rcf)
+    strict, _ = _cumulatives(dom.sets, units, grank)
     return CumulativeRCF(dom, tuple(
         tuple(Fraction(v, common) for v in row) for row in strict))
 
@@ -203,17 +219,16 @@ def _scaled(rcf: RandomChoiceFunction) -> tuple[int, list[list[int]]]:
                     for row in rcf.probs]
 
 
-def _cumulatives(rcf: RandomChoiceFunction, grank: Sequence[int]
-                 ) -> tuple[int, list[list[int]], list[list[int]]]:
+def _cumulatives(sets: Sequence[tuple[int, ...]], units: list[list[int]],
+                 grank: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
     """Per (set, member): mass strictly above, and mass at or above.
 
-    Both are ``int`` multiples of 1/D, where D is the lcm of the RCF's
-    denominators; D comes first in the result.  Comparisons between them
-    need no division, and ``cumulative`` divides each entry by D once.
+    ``units`` are the probabilities scaled by D (``_scaled``), so both
+    results are ``int`` multiples of 1/D.  Comparisons between them need no
+    division, and ``cumulative`` divides each entry by D once.
     """
-    common, units = _scaled(rcf)
     strict, weak = [], []
-    for s, row in zip(rcf.domain.sets, units):
+    for s, row in zip(sets, units):
         by_rank = sorted(range(len(s)), key=lambda i: grank[s[i]])
         up = [0] * len(s)
         at = [0] * len(s)
@@ -224,7 +239,7 @@ def _cumulatives(rcf: RandomChoiceFunction, grank: Sequence[int]
             at[i] = acc
         strict.append(up)
         weak.append(at)
-    return common, strict, weak
+    return strict, weak
 
 
 def decompose_progressive(rcf: RandomChoiceFunction,
@@ -240,15 +255,25 @@ def decompose_progressive(rcf: RandomChoiceFunction,
 
     The sweep runs on integers.  Every probability is scaled once by D, the
     lcm of the RCF's denominators, so the endpoints are ``int``s in (0, D].
-    Each set keeps a pointer to its current interval, and the breakpoints
-    ascend, so a pointer only moves forward: O(sets x (members +
-    breakpoints)) integer comparisons in all.  A weight becomes the
-    ``Fraction`` w / D only when the representation is built.
+    Each endpoint is a breakpoint, so a set's interval covers the run of
+    segments that ends at its endpoint's place among the sorted
+    breakpoints, and each set's column of picks is filled one run per
+    member: O(sets x (members + breakpoints)) in all, the breakpoints part
+    as list repetition.  A weight becomes the ``Fraction`` w / D only when
+    the representation is built.  The chain is then checked by
+    ``_assert_decreasing_chain``.
     """
     dom = rcf.domain
     if ordering.domain != dom:
         raise DomainMismatchError("orderings live on a different domain")
-    common, units = _scaled(rcf)
+    rep = _sweep(dom, ordering, *_scaled(rcf))
+    _assert_decreasing_chain([c.picks for _, c in rep.components], ordering.rank)
+    return rep
+
+
+def _sweep(dom: ChoiceDomain, ordering: PrimitiveOrderings, common: int,
+           units: list[list[int]]) -> ProgressiveRepresentation:
+    """The sweep of ``decompose_progressive`` on probabilities scaled by D."""
     # Per set, best first: each positive-weight member and the upper end of
     # its interval, in units of 1/D.  Every set's last end is D.
     uppers: list[list[int]] = []
@@ -267,16 +292,15 @@ def decompose_progressive(rcf: RandomChoiceFunction,
         uppers.append(ends)
         members.append(xs)
     breakpoints = sorted(cuts)
-    # Per set, its pick on each segment: a pointer walks the set's
-    # intervals forward as the breakpoints ascend.
+    # Per set, its pick on each segment: the segments up to and including
+    # the one that ends at an interval's upper end pick that interval's
+    # member, so each interval fills a run of the column in one step.
+    count = {r: i for i, r in enumerate(breakpoints, 1)}
     columns = []
     for ends, xs in zip(uppers, members):
-        i = 0
-        column = []
-        for r in breakpoints:
-            while ends[i] < r:
-                i += 1
-            column.append(xs[i])
+        column: list[int] = []
+        for end, x in zip(ends, xs):
+            column += [x] * (count[end] - len(column))
         columns.append(column)
     components: list[list] = []  # [units, picks]
     prev = 0
@@ -286,20 +310,30 @@ def decompose_progressive(rcf: RandomChoiceFunction,
         else:
             components.append([r - prev, picks])
         prev = r
-    rep = ProgressiveRepresentation(tuple(
+    return ProgressiveRepresentation(tuple(
         (Fraction(w, common), ChoiceFunction(dom, p)) for w, p in components))
-    _assert_decreasing_chain(rep, ordering)
-    return rep
 
 
-def _assert_decreasing_chain(rep: ProgressiveRepresentation,
-                             ordering: PrimitiveOrderings) -> None:
-    fns = rep.functions()
-    for c1, c2 in zip(fns, fns[1:]):
-        if compare_picks(c1.picks, c2.picks, ordering.rank) is not Comparison.DOMINATES:
+def _assert_decreasing_chain(chain: Sequence[tuple[int, ...]],
+                             rank: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Check that each pick vector strictly dominates the next one.
+
+    ``rank`` is ``PrimitiveOrderings.rank``.  One walk over each consecutive
+    pair collects the set positions where the picks differ; the pair passes
+    when that list is nonempty and the pick at every listed set moves
+    strictly worse, which is ``compare_picks(...) is DOMINATES``.  Returns
+    the lists, one per consecutive pair, for ``_assert_chain_in_theta``.
+    """
+    positions = range(len(chain[0]))
+    changes = []
+    for k, (p1, p2) in enumerate(zip(chain, chain[1:]), 1):
+        changed = list(compress(positions, map(ne, p1, p2)))
+        if not changed or any(rank[s][p1[s]] >= rank[s][p2[s]] for s in changed):
             raise AssertionError(
-                "decomposition produced a non-decreasing chain; "
-                "this is an implementation bug")
+                f"decomposition produced a non-decreasing chain at component "
+                f"{k}; this is an implementation bug")
+        changes.append(changed)
+    return changes
 
 
 DELTA_GUARD = 10_000
@@ -370,47 +404,94 @@ def satisfies_rtheta(rcf: RandomChoiceFunction, global_order: Sequence[str]
     dom = rcf.domain
     dom.require_full("the random theta axioms")
     grank = order_ranks(dom.order_index(global_order), dom.n)
-    _, strict, weak = _cumulatives(rcf, grank)
+    witness = _rtheta_witness(dom, _scaled(rcf)[1], grank)
+    return witness is None, witness
+
+
+def _rtheta_witness(dom: ChoiceDomain, units: list[list[int]],
+                    grank: Sequence[int]) -> RThetaViolation | None:
+    """The first failed random-axiom comparison on scaled probabilities."""
+    strict, weak = _cumulatives(dom.sets, units, grank)
     alts = dom.alternatives
     for si, s in enumerate(dom.sets):
         if len(s) < 3:
             continue
         for x, sub in dom.removal_position[si].items():
-            s_sub = dom.sets[sub]
-            for y in s:
+            # members ascend, so y sits one slot lower in S \ {x} iff y > x
+            for pos_here, y in enumerate(s):
                 if y == x:
                     continue
-                pos_here = s.index(y)
-                pos_there = s_sub.index(y)
+                pos_there = pos_here - (y > x)
                 if grank[y] < grank[x]:  # y better than removed x
                     if weak[sub][pos_there] < weak[si][pos_here]:
-                        return False, RThetaViolation(
+                        return RThetaViolation(
                             dom.set_symbols(si), alts[x], alts[y], "rtheta1")
                 elif strict[si][pos_here] < strict[sub][pos_there]:
-                    return False, RThetaViolation(
+                    return RThetaViolation(
                         dom.set_symbols(si), alts[x], alts[y], "rtheta2")
-    return True, None
+    return None
 
 
 def decompose_theta(rcf: RandomChoiceFunction,
                     global_order: Sequence[str]) -> ProgressiveRepresentation:
     """Progressive decomposition guaranteed to land in the minimal extension.
 
-    Requires the cumulative axioms to hold.  Every component is re-verified
-    against the deterministic axioms; a failure there signals an
-    implementation bug, not bad input.
+    Requires the cumulative axioms to hold.  The RCF is scaled to ``int``s
+    once, for the axiom check and the sweep alike.  The chain is checked
+    pair by pair (``_assert_decreasing_chain``), and every component against
+    the deterministic axioms (``_assert_chain_in_theta``): the first in
+    full, each later one at the removals that read a set where its pick
+    differs from the component before.  A failure of either check signals
+    an implementation bug, not bad input.
     """
-    ok, witness = satisfies_rtheta(rcf, global_order)
-    if not ok:
+    dom = rcf.domain
+    dom.require_full("the random theta axioms")
+    ordering = PrimitiveOrderings.from_global(dom, global_order)
+    grank = ordering.global_rank
+    common, units = _scaled(rcf)
+    witness = _rtheta_witness(dom, units, grank)
+    if witness is not None:
         raise ChoiceError(
             f"the RCF violates the cumulative axioms ({witness.axiom} at "
             f"S={''.join(witness.set_symbols)}, removing {witness.removed}, "
             f"fixed {witness.fixed})")
-    ordering = PrimitiveOrderings.from_global(rcf.domain, global_order)
-    rep = decompose_progressive(rcf, ordering)
-    for c in rep.functions():
-        if theta_violation(c.picks, rcf.domain, ordering.global_rank) is not None:
-            raise AssertionError(
-                "a decomposition component escaped the minimal extension; "
-                "this is an implementation bug")
+    rep = _sweep(dom, ordering, common, units)
+    chain = [c.picks for _, c in rep.components]
+    changes = _assert_decreasing_chain(chain, ordering.rank)
+    _assert_chain_in_theta(chain, changes, dom, grank)
     return rep
+
+
+def _assert_chain_in_theta(chain: Sequence[tuple[int, ...]],
+                           changes: Sequence[Sequence[int]],
+                           domain: ChoiceDomain, grank: Sequence[int]) -> None:
+    """Check every pick vector of a chain against the choice-overload axioms.
+
+    ``changes[k]`` lists the set positions where ``chain[k + 1]`` differs
+    from ``chain[k]``.  The first vector goes through ``theta_violation``.
+    A comparison at (S, x) reads only the picks at S and S \\ {x}, and the
+    vector before passed every comparison, so each later vector is checked
+    at exactly the removals that read a changed set
+    (``ChoiceDomain.removal_pairs``), with the rule of ``theta_violation``.
+    Every vector is thereby checked in full.
+    """
+    def escaped(k: int, si: int, x: int) -> AssertionError:
+        return AssertionError(
+            f"decomposition component {k} escaped the minimal extension at "
+            f"S={''.join(domain.set_symbols(si))}, removing "
+            f"{domain.alternatives[x]}; this is an implementation bug")
+
+    found = theta_violation(chain[0], domain, grank)
+    if found is not None:
+        raise escaped(0, found[0], found[1])
+    pairs = domain.removal_pairs
+    for k, (picks, changed) in enumerate(zip(chain[1:], changes), 1):
+        for p in changed:
+            for si, x, sub in pairs[p]:
+                y = picks[si]
+                if x == y:
+                    continue
+                ry = grank[y]
+                r2 = grank[picks[sub]]
+                if r2 > ry if ry < grank[x] else r2 < ry:
+                    raise escaped(k, si, x)

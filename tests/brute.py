@@ -8,7 +8,9 @@ by trying every permutation, and the orders whose theta model contains a
 model by testing the theta axioms under all n! orders.  The progressive
 sweep, the cumulatives, the random theta axioms and ``compose`` are here
 too, on ``Fraction``s throughout, as the references for the package's
-integer routes.
+integer routes, and the full per-component scans of a decomposition chain
+(``compare_picks`` on every consecutive pair, ``theta_violation`` on every
+component) as the references for its incremental certificate checks.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ from choicelattice import (
     ChoiceDomain,
     ChoiceFunction,
     ChoiceModel,
+    Comparison,
     GuardError,
     PrimitiveOrderings,
     RandomChoiceFunction,
     RThetaViolation,
 )
-from choicelattice.core import order_ranks
+from choicelattice.core import compare_picks, order_ranks
 from choicelattice.models import theta_violation
 from choicelattice.polytope import ConstraintSystem
 
@@ -343,3 +346,21 @@ def fraction_compose(dist: Mapping[ChoiceFunction, Fraction]
         for si, x in enumerate(c.picks):
             rows[si][dom.sets[si].index(x)] += w
     return tuple(tuple(r) for r in rows)
+
+
+def chain_fault(chain: Sequence[tuple[int, ...]],
+                rank: Sequence[Sequence[int]]) -> int | None:
+    """The first k at which chain[k - 1] does not strictly dominate chain[k]."""
+    for k in range(1, len(chain)):
+        if compare_picks(chain[k - 1], chain[k], rank) is not Comparison.DOMINATES:
+            return k
+    return None
+
+
+def theta_escape(chain: Sequence[tuple[int, ...]], domain: ChoiceDomain,
+                 grank: Sequence[int]) -> int | None:
+    """The first pick vector that fails the theta axioms, each scanned in full."""
+    for k, picks in enumerate(chain):
+        if theta_violation(picks, domain, grank) is not None:
+            return k
+    return None

@@ -85,6 +85,31 @@ INPUTS = {
         {"set": ["a", "b"], "rank": ["a"]},
         {"set": ["a", "c"], "rank": ["c", "a"]},
         {"set": ["b", "c"], "rank": ["b", "c"]}]},
+    # Wrong JSON types: a number where the schema has a list.
+    "model_set_type.json": {"functions": [
+        _explicit("aaab"), {"picks": [{"set": 3, "x": "a"}]}]},
+    "model_first_set_type.json": {"functions": [
+        {"picks": [{"set": 3, "x": "a"}]}]},
+    "model_picks_type.json": {"functions": [_explicit("aaab"), {"picks": 3}]},
+    "model_sets_type.json": {"sets": 3, "functions": ["aaab"]},
+    "model_sets_member_type.json": {"sets": [["a", "b", "c"], 3],
+                                    "functions": ["aa"]},
+    "model_alternatives_type.json": {"alternatives": 3,
+                                     "functions": [_explicit("aaab")]},
+    "rcf_set_type.json": {"probs": [{"set": 3, "x": "a", "p": "1"}]},
+    "ord_global_type.json": {"global": 3},
+    "ord_per_set_type.json": {"per_set": 3},
+    "ord_rank_type.json": {"per_set": [{"set": ["a", "b"], "rank": 3}]},
+    # A set listed twice, the second time spelt in another order.
+    "model_duplicate.json": {"functions": [
+        _explicit("aaab"),
+        {"picks": _explicit("abab")["picks"] + [{"set": ["b", "a"], "x": "a"}]}]},
+    "model_first_duplicate.json": {"functions": [
+        {"picks": _explicit("aaab")["picks"] + [{"set": ["c", "a"], "x": "c"}]}]},
+    "model_sets_duplicate.json": {"sets": [list(s) for s in SETS3] + [["c", "b"]],
+                                  "functions": ["aaabb"]},
+    "per_set_duplicate.json": {"per_set": _per_set(["bac", "ab", "ca", "bc"])[
+        "per_set"] + [{"set": ["c", "a"], "rank": ["a", "c"]}]},
 }
 
 # name: (argv, exit code, stderr)
@@ -170,6 +195,54 @@ CASES = {
     "schema_orderings_set_outside_domain": (
         ["check", "pairs.json", "ord_extra_set.json", "--lattice"], 2,
         "error: ord_extra_set.json: ('a', 'b', 'c') is not a domain set\n"),
+    "schema_model_set_type": (
+        ["check", "model_set_type.json", "--mixture"], 2,
+        "error: model_set_type.json: 'set' must be a list, not int\n"),
+    "schema_model_first_set_type": (
+        ["check", "model_first_set_type.json", "--mixture"], 2,
+        "error: model_first_set_type.json: 'set' must be a list, not int\n"),
+    "schema_model_picks_type": (
+        ["check", "model_picks_type.json", "--mixture"], 2,
+        "error: model_picks_type.json: 'picks' must be a list, not int\n"),
+    "schema_model_sets_type": (
+        ["identify", "model_sets_type.json"], 2,
+        "error: model_sets_type.json: 'sets' must be a list, not int\n"),
+    "schema_model_sets_member_type": (
+        ["identify", "model_sets_member_type.json"], 2,
+        "error: model_sets_member_type.json: 'sets[1]' must be a list, "
+        "not int\n"),
+    "schema_model_alternatives_type": (
+        ["identify", "model_alternatives_type.json"], 2,
+        "error: model_alternatives_type.json: 'alternatives' must be a list, "
+        "not int\n"),
+    "schema_rcf_set_type": (
+        ["decompose", "rcf_set_type.json", "ord.json"], 2,
+        "error: rcf_set_type.json: 'set' must be a list, not int\n"),
+    "schema_orderings_global_type": (
+        ["check", "rational.json", "ord_global_type.json", "--lattice"], 2,
+        "error: ord_global_type.json: 'global' must be a list, not int\n"),
+    "schema_orderings_per_set_type": (
+        ["check", "rational.json", "ord_per_set_type.json", "--lattice"], 2,
+        "error: ord_per_set_type.json: 'per_set' must be a list, not int\n"),
+    "schema_orderings_rank_type": (
+        ["check", "rational.json", "ord_rank_type.json", "--lattice"], 2,
+        "error: ord_rank_type.json: 'rank' must be a list, not int\n"),
+    "schema_model_duplicate": (
+        ["check", "model_duplicate.json", "--mixture"], 2,
+        "error: model_duplicate.json: a function has a second entry for set "
+        "('b', 'a')\n"),
+    "schema_model_first_duplicate": (
+        ["check", "model_first_duplicate.json", "--mixture"], 2,
+        "error: model_first_duplicate.json: a function has a second entry "
+        "for set ('c', 'a')\n"),
+    "schema_model_sets_duplicate": (
+        ["check", "model_sets_duplicate.json", "--mixture"], 2,
+        "error: model_sets_duplicate.json: 'sets' has a second entry for set "
+        "('c', 'b')\n"),
+    "schema_per_set_duplicate": (
+        ["check", "example1.json", "per_set_duplicate.json", "--lattice"], 2,
+        "error: per_set_duplicate.json: per_set has a second entry for set "
+        "('c', 'a')\n"),
 }
 
 

@@ -30,13 +30,20 @@ from choicelattice import (
     satisfies_rtheta,
     theta_model,
 )
+from choicelattice.models import theta_violation
+from choicelattice.random_choice import (
+    _assert_chain_in_theta,
+    _assert_decreasing_chain,
+)
 
 from brute import (
     all_choice_functions,
+    chain_fault,
     fraction_compose,
     fraction_cumulatives,
     fraction_rtheta,
     fraction_sweep,
+    theta_escape,
 )
 from conftest import ABC, fn, random_ordering
 
@@ -434,3 +441,156 @@ class TestIntegerRoute:
         for rho, dist in cases:
             if dist is not None:
                 assert rho.probs == fraction_compose(dist)
+
+
+def _changes(chain):
+    """Per consecutive pair, the set positions where the picks differ."""
+    return [[s for s, (x, y) in enumerate(zip(p1, p2)) if x != y]
+            for p1, p2 in zip(chain, chain[1:])]
+
+
+def _escaping_worsening(rng, picks, ordering):
+    """picks made worse at one set so that it fails the theta axioms, or None."""
+    dom = ordering.domain
+    grank = ordering.global_rank
+    for s in rng.sample(range(len(dom.sets)), len(dom.sets)):
+        worse = [y for y in dom.sets[s] if grank[y] > grank[picks[s]]]
+        for y in rng.sample(worse, len(worse)):
+            new = picks[:s] + (y,) + picks[s + 1:]
+            if theta_escape([new], dom, grank) is not None:
+                return new
+    return None
+
+
+class TestChainChecks:
+    """The incremental chain and theta checks against full per-component scans."""
+
+    @pytest.fixture(scope="class")
+    def chains(self, dom3, dom4):
+        # (kind, ordering, chain) at n = 3 to 6
+        rng = random.Random(2212)
+        out = []
+        domains = [dom3, dom4] + [ChoiceDomain.full("abcdef"[:n]) for n in (5, 6)]
+        for domain in domains:
+            count = {3: 12, 4: 10, 5: 5, 6: 3}[domain.n]
+            for _ in range(count):
+                order = rng.sample(domain.alternatives, domain.n)
+                ordering = PrimitiveOrderings.from_global(domain, order)
+                dist = _rational_mixture(domain, rng, rng.randint(2, 6))
+                rep = decompose_theta(compose(dist), order)
+                chain = [c.picks for _, c in rep.components]
+                out.append(("mixture", ordering, chain))
+                for _ in range(6):
+                    k = rng.randrange(len(chain))
+                    s = rng.randrange(len(domain.sets))
+                    y = rng.choice([x for x in domain.sets[s] if x != chain[k][s]])
+                    changed = chain[k][:s] + (y,) + chain[k][s + 1:]
+                    out.append(("one_set", ordering,
+                                chain[:k] + [changed] + chain[k + 1:]))
+                k = rng.randrange(len(chain))
+                out.append(("repeated", ordering, chain[:k + 1] + chain[k:]))
+                last = _escaping_worsening(rng, chain[-1], ordering)
+                if last is not None:
+                    out.append(("last_escapes", ordering, chain + [last]))
+                # a random decreasing chain from the top function down
+                top = ChoiceFunction(domain, tuple(
+                    r[0] for r in ordering.per_set)).picks
+                walk = [top]
+                while len(walk) < 12:
+                    picks = list(walk[-1])
+                    for s in rng.sample(range(len(picks)), rng.randint(1, 3)):
+                        ranking = ordering.per_set[s]
+                        picks[s] = ranking[min(ranking.index(picks[s]) + 1,
+                                               len(ranking) - 1)]
+                    if tuple(picks) == walk[-1]:
+                        break
+                    walk.append(tuple(picks))
+                out.append(("decreasing", ordering, walk))
+        return out
+
+    def test_chain_check_flags_what_compare_picks_flags(self, chains):
+        verdicts = set()
+        for kind, ordering, chain in chains:
+            expected = chain_fault(chain, ordering.rank)
+            verdicts.add((kind, expected is None))
+            if expected is None:
+                assert _assert_decreasing_chain(chain, ordering.rank) == _changes(chain)
+            else:
+                with pytest.raises(AssertionError,
+                                   match=f"chain at component {expected};"):
+                    _assert_decreasing_chain(chain, ordering.rank)
+        assert verdicts >= {("mixture", True), ("one_set", True),
+                            ("one_set", False), ("repeated", False),
+                            ("last_escapes", True), ("decreasing", True)}
+
+    def test_theta_check_flags_what_the_full_scan_flags(self, chains):
+        verdicts = set()
+        for kind, ordering, chain in chains:
+            dom, grank = ordering.domain, ordering.global_rank
+            expected = theta_escape(chain, dom, grank)
+            verdicts.add((kind, expected is None))
+            if expected is None:
+                _assert_chain_in_theta(chain, _changes(chain), dom, grank)
+            else:
+                with pytest.raises(AssertionError,
+                                   match=f"component {expected} escaped"):
+                    _assert_chain_in_theta(chain, _changes(chain), dom, grank)
+            if kind == "mixture":
+                assert expected is None
+            if kind == "last_escapes":
+                assert expected == len(chain) - 1
+        assert verdicts >= {("mixture", True), ("one_set", True),
+                            ("one_set", False), ("repeated", True),
+                            ("last_escapes", False), ("decreasing", True),
+                            ("decreasing", False)}
+
+    def test_changes_at_either_end_of_a_removal_are_rechecked(self, dom4):
+        # One component differs from a theta member at one set; the change
+        # breaks a comparison where that set is S, or where it is S \ {x}.
+        order = tuple("abcd")
+        grank = PrimitiveOrderings.from_global(dom4, order).global_rank
+        members = sorted(theta_model(dom4, order).picks_set())
+        roles = set()
+        for picks in members[::5]:
+            for p, s in enumerate(dom4.sets):
+                for y in s:
+                    if y == picks[p]:
+                        continue
+                    changed = picks[:p] + (y,) + picks[p + 1:]
+                    found = theta_violation(changed, dom4, grank)
+                    chain = [picks, changed]
+                    if found is None:
+                        _assert_chain_in_theta(chain, [[p]], dom4, grank)
+                        continue
+                    roles.add("S" if found[0] == p else "S minus x")
+                    with pytest.raises(AssertionError, match="component 1 escaped"):
+                        _assert_chain_in_theta(chain, [[p]], dom4, grank)
+        assert roles == {"S", "S minus x"}
+
+    def test_weight_sum_beyond_64_bits(self, dom3):
+        p, q = _primes_from(2 ** 33, 2)
+        c1, c2, c3 = fn(dom3, "aaab"), fn(dom3, "baab"), fn(dom3, "bbcc")
+        w1, w2 = F(1, p), F(1, q)
+        assert p * q > 2 ** 64
+        ok = ProgressiveRepresentation(((w1, c1), (w2, c2), (1 - w1 - w2, c3)))
+        assert sum(ok.weights()) == 1
+        for off in (F(1, p * q), -F(1, p * q), F(1, p)):
+            with pytest.raises(ChoiceError, match="sum to one"):
+                ProgressiveRepresentation(
+                    ((w1, c1), (w2, c2), (1 - w1 - w2 + off, c3)))
+
+
+class TestFromTable:
+    def test_refuses_a_second_entry_in_any_spelling(self, dom3):
+        half, quarter = F(1, 2), F(1, 4)
+        rows = {(("a", "b", "c"), "a"): 1, (("a", "c"), "a"): 1,
+                (("b", "c"), "b"): 1}
+        table = {**rows, (("a", "b"), "a"): half, (("b", "a"), "a"): quarter,
+                 (("a", "b"), "b"): 1 - quarter}
+        with pytest.raises(ChoiceError,
+                           match=re.escape("set ('a', 'b') has a second entry "
+                                           "for x = 'a'")):
+            RandomChoiceFunction.from_table(dom3, table)
+        table = {**rows, (frozenset("ab"), "a"): half, (("a", "b"), "b"): half}
+        rho = RandomChoiceFunction.from_table(dom3, table)
+        assert rho.probability("ba", "a") == half
