@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 from fractions import Fraction
@@ -34,10 +33,8 @@ from .core import (
     ChoiceDomain,
     ChoiceError,
     ChoiceFunction,
-    Comparison,
     DomainMismatchError,
     PrimitiveOrderings,
-    compare,
 )
 from .models import (
     ChoiceModel,
@@ -349,19 +346,21 @@ def cmd_hasse(args) -> int:
     model = load_model(args.model)
     ordering = load_orderings(args.orderings, model.domain)
     fns = model.functions
-    dominates = {}
-    for c1, c2 in itertools.permutations(fns, 2):
-        if compare(c1, c2, ordering) is Comparison.DOMINATES:
-            dominates.setdefault(c1, set()).add(c2)
+    packed = ordering.packed
+    values = [packed.pack(c.picks) for c in fns]
+    better = packed.weakly_better
+    # members are distinct, so weakly better is strictly dominating here
+    below = [{j for j, b in enumerate(values) if j != i and better(a, b)}
+             for i, a in enumerate(values)]
     lines = ["digraph choicemodel {"]
-    names = {c: json.dumps(str(func_repr(c))) for c in fns}
-    for c in fns:
-        lines.append(f"  {names[c]};")
-    for c1 in fns:
-        below = dominates.get(c1, set())
-        for c2 in sorted(below, key=lambda c: c.picks):
-            if not any(c2 in dominates.get(mid, ()) for mid in below if mid != c2):
-                lines.append(f"  {names[c1]} -> {names[c2]};")
+    names = [json.dumps(str(func_repr(c))) for c in fns]
+    for name in names:
+        lines.append(f"  {name};")
+    for i, dominated in enumerate(below):
+        # a cover is dominated by no other member that i dominates
+        indirect = set().union(*(below[j] for j in dominated))
+        for j in sorted(dominated - indirect):
+            lines.append(f"  {names[i]} -> {names[j]};")
     sys.stdout.write("\n".join(lines) + "\n}\n")
     return EXIT_PASS
 

@@ -103,35 +103,52 @@ class ChoiceDomain:
         return {s: i for i, s in enumerate(self.sets)}
 
     @cached_property
-    def removal_position(self) -> tuple[dict[int, int], ...]:
-        """Per set, maps a member x to the position of S \\ {x}, where present."""
+    def removals(self) -> tuple[tuple[int, int, int], ...]:
+        """Every removal (S, x, S \\ {x}) that stays inside the domain.
+
+        Entries are (position of S, x, position of S \\ {x}), ordered by S
+        and then x.  A choice-overload comparison at (S, x) reads only the
+        picks at these two positions.
+        """
+        position = self.set_position
         table = []
-        for s in self.sets:
-            row = {}
-            if len(s) > 2:
-                for x in s:
-                    sub = tuple(e for e in s if e != x)
-                    pos = self.set_position.get(sub)
-                    if pos is not None:
-                        row[x] = pos
-            table.append(row)
+        for si, s in enumerate(self.sets):
+            for x in s:
+                sub = position.get(tuple(e for e in s if e != x))
+                if sub is not None:
+                    table.append((si, x, sub))
         return tuple(table)
 
     @cached_property
     def removal_pairs(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """Per set position p, the removals (S, x, S \\ {x}) that read p.
 
-        Each removal appears as (position of S, x, position of S \\ {x})
-        under both of its positions.  A choice-overload comparison at (S, x)
-        reads only the picks at S and S \\ {x}, so these are the comparisons
-        that a new pick at p can change.
+        Each removal appears under both of its positions, so these are the
+        comparisons that a new pick at p can change.
         """
         table: list[list[tuple[int, int, int]]] = [[] for _ in self.sets]
-        for si, row in enumerate(self.removal_position):
-            for x, sub in row.items():
-                table[si].append((si, x, sub))
-                table[sub].append((si, x, sub))
+        for removal in self.removals:
+            si, _, sub = removal
+            table[si].append(removal)
+            table[sub].append(removal)
         return tuple(map(tuple, table))
+
+    @cached_property
+    def comparisons(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
+        """Every removal (S, x, S \\ {x}) with each member y of S other than x.
+
+        Entries are (position of S, x, position of S \\ {x}, y, slot of y in
+        S, slot of y in S \\ {x}), ordered by S, then x, then y; a slot is
+        the member's place in the ascending set.  These are the comparisons
+        of the random choice-overload axioms and of the polytope's row
+        families (1) and (2).
+        """
+        table = []
+        for si, x, sub in self.removals:
+            for here, y in enumerate(self.sets[si]):
+                if y != x:  # members ascend: y > x sits one slot lower
+                    table.append((si, x, sub, y, here, here - (y > x)))
+        return tuple(table)
 
     @cached_property
     def is_full(self) -> bool:
@@ -395,51 +412,39 @@ def _same_domain(*objs) -> ChoiceDomain:
     return dom
 
 
-def compare_picks(p1: tuple[int, ...], p2: tuple[int, ...],
-                  rank: Sequence[Sequence[int]]) -> Comparison:
-    """Index-level comparison; ``rank`` is PrimitiveOrderings.rank."""
-    ge = le = True
-    for s, (x, y) in enumerate(zip(p1, p2)):
-        if x == y:
-            continue
-        if rank[s][x] < rank[s][y]:
-            le = False
-        else:
-            ge = False
-        if not (ge or le):
-            return Comparison.INCOMPARABLE
-    if ge and le:
-        return Comparison.EQUAL
-    return Comparison.DOMINATES if ge else Comparison.DOMINATED_BY
-
-
 def compare(c1: ChoiceFunction, c2: ChoiceFunction,
             ordering: PrimitiveOrderings) -> Comparison:
     """Dominates iff c1 picks a weakly better alternative everywhere,
-    strictly somewhere."""
+    strictly somewhere.
+
+    Both pick vectors are packed (``PrimitiveOrderings.packed``) and
+    compared by ``weakly_better`` in each direction.
+    """
     _same_domain(c1, c2, ordering)
-    return compare_picks(c1.picks, c2.picks, ordering.rank)
-
-
-def join_picks(p1, p2, rank) -> tuple[int, ...]:
-    return tuple(x if rank[s][x] < rank[s][y] else y
-                 for s, (x, y) in enumerate(zip(p1, p2)))
-
-
-def meet_picks(p1, p2, rank) -> tuple[int, ...]:
-    return tuple(x if rank[s][x] > rank[s][y] else y
-                 for s, (x, y) in enumerate(zip(p1, p2)))
+    packed = ordering.packed
+    a, b = packed.pack(c1.picks), packed.pack(c2.picks)
+    if a == b:
+        return Comparison.EQUAL
+    if packed.weakly_better(a, b):
+        return Comparison.DOMINATES
+    if packed.weakly_better(b, a):
+        return Comparison.DOMINATED_BY
+    return Comparison.INCOMPARABLE
 
 
 def join(c1: ChoiceFunction, c2: ChoiceFunction,
          ordering: PrimitiveOrderings) -> ChoiceFunction:
     """Pointwise best of the two picks."""
     dom = _same_domain(c1, c2, ordering)
-    return ChoiceFunction(dom, join_picks(c1.picks, c2.picks, ordering.rank))
+    packed = ordering.packed
+    return ChoiceFunction(dom, packed.unpack(
+        packed.join(packed.pack(c1.picks), packed.pack(c2.picks))))
 
 
 def meet(c1: ChoiceFunction, c2: ChoiceFunction,
          ordering: PrimitiveOrderings) -> ChoiceFunction:
     """Pointwise worst of the two picks."""
     dom = _same_domain(c1, c2, ordering)
-    return ChoiceFunction(dom, meet_picks(c1.picks, c2.picks, ordering.rank))
+    packed = ordering.packed
+    return ChoiceFunction(dom, packed.unpack(
+        packed.meet(packed.pack(c1.picks), packed.pack(c2.picks))))

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .core import ChoiceError, GuardError
+from .core import ChoiceError, DomainMismatchError, GuardError
 from .models import ChoiceModel
 
 
@@ -38,18 +39,24 @@ class BetweennessRelation:
     @classmethod
     def from_symbols(cls, alternatives: Sequence[str],
                      triples: Iterable[tuple[str, str, str]]) -> "BetweennessRelation":
-        alts = tuple(str(a) for a in alternatives)
-        index = {a: i for i, a in enumerate(alts)}
-        canon = set()
-        for y, x, z in triples:
-            xi, zi = sorted((index[str(x)], index[str(z)]))
-            canon.add((index[str(y)], (xi, zi)))
-        return cls(alts, frozenset(canon))
+        """Triples (middle, one end, other end) of symbols; an unknown symbol
+        raises ``DomainMismatchError``."""
+        empty = cls(tuple(str(a) for a in alternatives))
+        return cls(empty.alternatives, frozenset(map(empty._triple, triples)))
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {a: i for i, a in enumerate(self.alternatives)}
+
+    def _triple(self, symbols: tuple[str, str, str]) -> tuple[int, tuple[int, int]]:
+        try:
+            y, x, z = (self._index[str(a)] for a in symbols)
+        except KeyError as exc:
+            raise DomainMismatchError(f"unknown alternative {exc.args[0]!r}") from None
+        return y, (x, z) if x < z else (z, x)
 
     def has(self, y: str, x: str, z: str) -> bool:
-        index = {a: i for i, a in enumerate(self.alternatives)}
-        xi, zi = sorted((index[x], index[z]))
-        return (index[y], (xi, zi)) in self.triples
+        return self._triple((y, x, z)) in self.triples
 
     def triples_symbols(self) -> tuple[tuple[str, str, str], ...]:
         alts = self.alternatives
@@ -66,19 +73,16 @@ def betweenness(model: ChoiceModel) -> BetweennessRelation:
     Only removals whose leftover set is in the domain contribute, and the
     three elements must be distinct.
     """
-    dom = model.domain
+    removals = model.domain.removals
     triples = set()
     for c in model.functions:
-        for si, s in enumerate(dom.sets):
-            if len(s) < 3:
-                continue
-            y = c.picks[si]
-            for z, sub in dom.removal_position[si].items():
-                x = c.picks[sub]
-                if x != y and z != y and z != x:
-                    lo, hi = (x, z) if x < z else (z, x)
-                    triples.add((y, (lo, hi)))
-    return BetweennessRelation(dom.alternatives, frozenset(triples))
+        picks = c.picks
+        for si, z, sub in removals:
+            y, x = picks[si], picks[sub]
+            if x != y and z != y and z != x:
+                lo, hi = (x, z) if x < z else (z, x)
+                triples.add((y, (lo, hi)))
+    return BetweennessRelation(model.domain.alternatives, frozenset(triples))
 
 
 @dataclass(frozen=True)

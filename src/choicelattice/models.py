@@ -265,33 +265,38 @@ def enumerate_rational(domain: ChoiceDomain) -> ChoiceModel:
     return ChoiceModel.from_picks(domain, seen)
 
 
+def _theta_fault(picks: Sequence[int], removals: Iterable[tuple[int, int, int]],
+                 grank: Sequence[int]) -> tuple[int, int, int] | None:
+    """The first removal (S, x, S \\ {x}) whose choice-overload comparison fails.
+
+    With y the pick at S and y' the pick at S \\ {x}, the comparison holds
+    when x = y, when y' = y, or when y lies strictly between x and y' under
+    ``grank``: removing an x worse than y may only improve the choice
+    (theta1), and removing one better than y may only worsen it (theta2).
+    """
+    for si, x, sub in removals:
+        y, y2 = picks[si], picks[sub]
+        if x != y and y2 != y:
+            rx, ry, r2 = grank[x], grank[y], grank[y2]
+            if not (rx < ry < r2 or r2 < ry < rx):
+                return si, x, sub
+    return None
+
+
 def theta_violation(picks: Sequence[int], domain: ChoiceDomain,
                     grank: Sequence[int]) -> tuple[int, int, int, int] | None:
     """The first failed choice-overload comparison, or None.
 
     Returns (set position, removed x, chosen y, chosen after removal), all
-    as indices; ``grank`` holds the global rank of each alternative.
-    Removing an x worse than y may only improve the choice (theta1);
-    removing one better than y may only worsen it (theta2).  Quantifies
-    over removals that stay inside the domain.
+    as indices; ``grank`` holds the global rank of each alternative.  Scans
+    ``ChoiceDomain.removals``, the removals that stay inside the domain, in
+    order, with the rule of ``_theta_fault``.
     """
-    removal = domain.removal_position
-    for si, s in enumerate(domain.sets):
-        if len(s) < 3:
-            continue
-        y = picks[si]
-        ry = grank[y]
-        for x, sub in removal[si].items():
-            if x == y:
-                continue
-            y2 = picks[sub]
-            r2 = grank[y2]
-            if ry < grank[x]:
-                if r2 > ry:
-                    return si, x, y, y2
-            elif r2 < ry:
-                return si, x, y, y2
-    return None
+    found = _theta_fault(picks, domain.removals, grank)
+    if found is None:
+        return None
+    si, x, sub = found
+    return si, x, picks[si], picks[sub]
 
 
 def satisfies_theta(c: ChoiceFunction, global_order: Sequence[str]
@@ -314,31 +319,27 @@ def satisfies_theta(c: ChoiceFunction, global_order: Sequence[str]
 def _theta_picks(domain: ChoiceDomain,
                  order: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     grank = order_ranks(order, domain.n)
-    removal = domain.removal_position
+    sets = domain.sets
     # Sets are assigned from the last position to the first, so every
     # S \ {x} has its pick before S.  A partial assignment lists its picks
     # in that order: the pick at set position si sits at index last - si.
-    last = len(domain.sets) - 1
+    last = len(sets) - 1
+    # Per set and candidate pick y, the picks at each S \ {x} that
+    # _theta_fault accepts: no worse than y when x is worse than y (theta1),
+    # no better than y when x is better (theta2).
+    allowed: list[dict[int, list]] = [{y: [] for y in s} for s in sets]
+    for si, x, sub, y, _, _ in domain.comparisons:
+        ry = grank[y]
+        if ry < grank[x]:
+            ok = frozenset(z for z in sets[sub] if grank[z] <= ry)
+        else:
+            ok = frozenset(z for z in sets[sub] if grank[z] >= ry)
+        allowed[si][y].append((last - sub, ok))
     partials: list[tuple[int, ...]] = [()]
     for si in range(last, -1, -1):
-        options = []
-        for y in domain.sets[si]:
-            # the picks at each S \ {x} that theta_violation accepts: no
-            # worse than y when x is worse than y (theta1), no better than y
-            # when x is better (theta2)
-            ry = grank[y]
-            allowed = []
-            for x, sub in removal[si].items():
-                if x == y:
-                    continue
-                if ry < grank[x]:
-                    ok = frozenset(z for z in domain.sets[sub] if grank[z] <= ry)
-                else:
-                    ok = frozenset(z for z in domain.sets[sub] if grank[z] >= ry)
-                allowed.append((last - sub, ok))
-            options.append((y, allowed))
-        partials = [p + (y,) for p in partials for y, allowed in options
-                    if all(p[at] in ok for at, ok in allowed)]
+        options = allowed[si].items()
+        partials = [p + (y,) for p in partials for y, checks in options
+                    if all(p[at] in ok for at, ok in checks)]
     return frozenset(p[::-1] for p in partials)
 
 

@@ -73,6 +73,10 @@ def build_constraints(domain: ChoiceDomain,
     (3) the cumulative grows weakly down each set's ranking; (4) it is
     capped by one at the worst member; (5) it is zero at the best member.
     Right-hand sides are 1 for (4) and 0 for the rest.
+
+    Rows of families (1) and (2) follow ``ChoiceDomain.comparisons``, the
+    table the random axioms read, so they come in (S, x, y) order; the
+    other families follow the sets and each set's ranking.
     """
     domain.require_full("the constraint system")
     order = domain.order_index(global_order)
@@ -99,20 +103,14 @@ def build_constraints(domain: ChoiceDomain,
     def name(si):
         return "".join(domain.set_symbols(si))
 
-    for si, s in enumerate(ranked_sets):
-        removal = domain.removal_position[si]
-        for y in s:
-            for x in s:
-                if x == y or x not in removal:
-                    continue
-                sub = removal[x]
-                if grank[x] < grank[y]:
-                    add([(col[(sub, y)], 1), (col[(si, y)], -1)], 0,
-                        f"2 S={name(si)} y={alts[y]} x={alts[x]}")
-                elif y in succ[sub]:
-                    add([(col[(si, succ[si][y])], 1),
-                         (col[(sub, succ[sub][y])], -1)], 0,
-                        f"1 S={name(si)} y={alts[y]} x={alts[x]}")
+    for si, x, sub, y, _, _ in domain.comparisons:
+        if grank[x] < grank[y]:
+            add([(col[(sub, y)], 1), (col[(si, y)], -1)], 0,
+                f"2 S={name(si)} y={alts[y]} x={alts[x]}")
+        elif y in succ[sub]:
+            add([(col[(si, succ[si][y])], 1),
+                 (col[(sub, succ[sub][y])], -1)], 0,
+                f"1 S={name(si)} y={alts[y]} x={alts[x]}")
     for si, s in enumerate(ranked_sets):
         for x, below in succ[si].items():
             add([(col[(si, x)], 1), (col[(si, below)], -1)], 0,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
 from operator import ne
 from typing import Iterable, Mapping, Sequence
 
@@ -23,21 +23,11 @@ from .core import (
     PrimitiveOrderings,
     order_ranks,
 )
-from .models import ChoiceModel, theta_violation
+from .models import ChoiceModel, _theta_fault
 from .oracle import exact_feasible
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise ChoiceError(f"not an exact rational: {value!r}")
 
 
 def _exact(value, what: str) -> Fraction:
@@ -47,6 +37,16 @@ def _exact(value, what: str) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise ChoiceError(f"{what} {value!r} is not an int or a Fraction")
+
+
+def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """L, the lcm of the values' denominators, and each value times L.
+
+    Each value becomes an ``int`` count of units 1/L, so a sum of values is
+    one exactly when their counts add up to L.
+    """
+    common = math.lcm(*(v.denominator for v in values))
+    return common, [v.numerator * (common // v.denominator) for v in values]
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,8 @@ class RandomChoiceFunction:
                 row = tuple(_exact(p, what) for p in row)
             if any(p.numerator < 0 for p in row):
                 raise ChoiceError("probabilities must be nonnegative")
-            common = math.lcm(*(p.denominator for p in row))
-            if sum(p.numerator * (common // p.denominator) for p in row) != common:
+            common, units = _over_lcm(row)
+            if sum(units) != common:
                 raise ChoiceError(
                     f"probabilities over {dom.set_symbols(si)!r} "
                     f"sum to {sum(row)}, not 1")
@@ -97,7 +97,7 @@ class RandomChoiceFunction:
                 raise ChoiceError(f"set {domain.set_symbols(pos)!r} has a second "
                                   f"entry for x = {symbol!r}")
             filled.add((pos, i))
-            rows[pos][i] = as_fraction(p)
+            rows[pos][i] = p
         return cls(domain, tuple(tuple(r) for r in rows))
 
     def probability(self, members: Iterable[str], symbol: str) -> Fraction:
@@ -147,9 +147,8 @@ class ProgressiveRepresentation:
             (_exact(w, "component weight"), c) for w, c in self.components))
         if any(w <= 0 for w, _ in self.components):
             raise ChoiceError("component weights must be positive")
-        common = math.lcm(*(w.denominator for w, _ in self.components))
-        if sum(w.numerator * (common // w.denominator)
-               for w, _ in self.components) != common:
+        common, units = _over_lcm(self.weights())
+        if sum(units) != common:
             raise ChoiceError("component weights must sum to one")
 
     def functions(self) -> tuple[ChoiceFunction, ...]:
@@ -162,7 +161,7 @@ class ProgressiveRepresentation:
         return compose(dict(zip(self.functions(), self.weights())))
 
 
-def compose(dist: Mapping[ChoiceFunction, Fraction | int | str]
+def compose(dist: Mapping[ChoiceFunction, Fraction | int]
             ) -> RandomChoiceFunction:
     """The random choice function induced by a probability distribution.
 
@@ -178,12 +177,11 @@ def compose(dist: Mapping[ChoiceFunction, Fraction | int | str]
     for c in functions:
         if c.domain != dom:
             raise DomainMismatchError("distribution members live on different domains")
-        w = as_fraction(dist[c])
+        w = _exact(dist[c], "weight")
         if w < 0:
             raise ChoiceError("weights must be nonnegative")
         weights.append(w)
-    common = math.lcm(*(w.denominator for w in weights))
-    units = [w.numerator * (common // w.denominator) for w in weights]
+    common, units = _over_lcm(weights)
     if sum(units) != common:
         raise ChoiceError(f"weights sum to {sum(weights)}, not 1")
     slots = [{x: i for i, x in enumerate(s)} for s in dom.sets]
@@ -214,9 +212,9 @@ def cumulative(rcf: RandomChoiceFunction,
 
 def _scaled(rcf: RandomChoiceFunction) -> tuple[int, list[list[int]]]:
     """D, the lcm of the RCF's denominators, and each probability times D."""
-    common = math.lcm(*(p.denominator for row in rcf.probs for p in row))
-    return common, [[p.numerator * (common // p.denominator) for p in row]
-                    for row in rcf.probs]
+    common, flat = _over_lcm([p for row in rcf.probs for p in row])
+    units = iter(flat)
+    return common, [list(islice(units, len(row))) for row in rcf.probs]
 
 
 def _cumulatives(sets: Sequence[tuple[int, ...]], units: list[list[int]],
@@ -321,7 +319,7 @@ def _assert_decreasing_chain(chain: Sequence[tuple[int, ...]],
     ``rank`` is ``PrimitiveOrderings.rank``.  One walk over each consecutive
     pair collects the set positions where the picks differ; the pair passes
     when that list is nonempty and the pick at every listed set moves
-    strictly worse, which is ``compare_picks(...) is DOMINATES``.  Returns
+    strictly worse, which is ``compare(...) is Comparison.DOMINATES``.  Returns
     the lists, one per consecutive pair, for ``_assert_chain_in_theta``.
     """
     positions = range(len(chain[0]))
@@ -413,22 +411,14 @@ def _rtheta_witness(dom: ChoiceDomain, units: list[list[int]],
     """The first failed random-axiom comparison on scaled probabilities."""
     strict, weak = _cumulatives(dom.sets, units, grank)
     alts = dom.alternatives
-    for si, s in enumerate(dom.sets):
-        if len(s) < 3:
-            continue
-        for x, sub in dom.removal_position[si].items():
-            # members ascend, so y sits one slot lower in S \ {x} iff y > x
-            for pos_here, y in enumerate(s):
-                if y == x:
-                    continue
-                pos_there = pos_here - (y > x)
-                if grank[y] < grank[x]:  # y better than removed x
-                    if weak[sub][pos_there] < weak[si][pos_here]:
-                        return RThetaViolation(
-                            dom.set_symbols(si), alts[x], alts[y], "rtheta1")
-                elif strict[si][pos_here] < strict[sub][pos_there]:
-                    return RThetaViolation(
-                        dom.set_symbols(si), alts[x], alts[y], "rtheta2")
+    for si, x, sub, y, here, there in dom.comparisons:
+        if grank[y] < grank[x]:  # y better than removed x
+            if weak[sub][there] < weak[si][here]:
+                return RThetaViolation(
+                    dom.set_symbols(si), alts[x], alts[y], "rtheta1")
+        elif strict[si][here] < strict[sub][there]:
+            return RThetaViolation(
+                dom.set_symbols(si), alts[x], alts[y], "rtheta2")
     return None
 
 
@@ -468,30 +458,21 @@ def _assert_chain_in_theta(chain: Sequence[tuple[int, ...]],
     """Check every pick vector of a chain against the choice-overload axioms.
 
     ``changes[k]`` lists the set positions where ``chain[k + 1]`` differs
-    from ``chain[k]``.  The first vector goes through ``theta_violation``.
-    A comparison at (S, x) reads only the picks at S and S \\ {x}, and the
-    vector before passed every comparison, so each later vector is checked
-    at exactly the removals that read a changed set
-    (``ChoiceDomain.removal_pairs``), with the rule of ``theta_violation``.
-    Every vector is thereby checked in full.
+    from ``chain[k]``.  The first vector is scanned at every removal of
+    ``ChoiceDomain.removals``.  A comparison at (S, x) reads only the picks
+    at S and S \\ {x}, and the vector before passed every comparison, so
+    each later vector is scanned at exactly the removals that read a
+    changed set (``ChoiceDomain.removal_pairs``).  Both scans apply the one
+    rule of ``models._theta_fault``, so every vector is checked in full.
     """
-    def escaped(k: int, si: int, x: int) -> AssertionError:
-        return AssertionError(
-            f"decomposition component {k} escaped the minimal extension at "
-            f"S={''.join(domain.set_symbols(si))}, removing "
-            f"{domain.alternatives[x]}; this is an implementation bug")
-
-    found = theta_violation(chain[0], domain, grank)
-    if found is not None:
-        raise escaped(0, found[0], found[1])
     pairs = domain.removal_pairs
-    for k, (picks, changed) in enumerate(zip(chain[1:], changes), 1):
-        for p in changed:
-            for si, x, sub in pairs[p]:
-                y = picks[si]
-                if x == y:
-                    continue
-                ry = grank[y]
-                r2 = grank[picks[sub]]
-                if r2 > ry if ry < grank[x] else r2 < ry:
-                    raise escaped(k, si, x)
+    for k, picks in enumerate(chain):
+        removals = (domain.removals if k == 0 else
+                    (r for p in changes[k - 1] for r in pairs[p]))
+        found = _theta_fault(picks, removals, grank)
+        if found is not None:
+            si, x, _ = found
+            raise AssertionError(
+                f"decomposition component {k} escaped the minimal extension at "
+                f"S={''.join(domain.set_symbols(si))}, removing "
+                f"{domain.alternatives[x]}; this is an implementation bug")

@@ -10,7 +10,9 @@ sweep, the cumulatives, the random theta axioms and ``compose`` are here
 too, on ``Fraction``s throughout, as the references for the package's
 integer routes, and the full per-component scans of a decomposition chain
 (``compare_picks`` on every consecutive pair, ``theta_violation`` on every
-component) as the references for its incremental certificate checks.
+component) as the references for its incremental certificate checks.  The
+tuple loops ``compare_picks``, ``join_picks`` and ``meet_picks`` are the
+references for the package's packed pick-vector operations.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from choicelattice import (
     RandomChoiceFunction,
     RThetaViolation,
 )
-from choicelattice.core import compare_picks, order_ranks
+from choicelattice.core import order_ranks
 from choicelattice.models import theta_violation
 from choicelattice.polytope import ConstraintSystem
 
@@ -39,6 +41,36 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 FUNCTION_GUARD = 1_000_000
+
+
+def compare_picks(p1: tuple[int, ...], p2: tuple[int, ...],
+                  rank: Sequence[Sequence[int]]) -> Comparison:
+    """Set-by-set comparison; ``rank`` is PrimitiveOrderings.rank."""
+    ge = le = True
+    for s, (x, y) in enumerate(zip(p1, p2)):
+        if x == y:
+            continue
+        if rank[s][x] < rank[s][y]:
+            le = False
+        else:
+            ge = False
+        if not (ge or le):
+            return Comparison.INCOMPARABLE
+    if ge and le:
+        return Comparison.EQUAL
+    return Comparison.DOMINATES if ge else Comparison.DOMINATED_BY
+
+
+def join_picks(p1, p2, rank) -> tuple[int, ...]:
+    """The better pick at every set."""
+    return tuple(x if rank[s][x] < rank[s][y] else y
+                 for s, (x, y) in enumerate(zip(p1, p2)))
+
+
+def meet_picks(p1, p2, rank) -> tuple[int, ...]:
+    """The worse pick at every set."""
+    return tuple(x if rank[s][x] > rank[s][y] else y
+                 for s, (x, y) in enumerate(zip(p1, p2)))
 
 
 def all_choice_functions(domain: ChoiceDomain) -> ChoiceModel:
@@ -321,8 +353,11 @@ def fraction_rtheta(rcf: RandomChoiceFunction, global_order: Sequence[str]
     strict, weak = fraction_cumulatives(rcf, grank)
     alts = dom.alternatives
     for si, s in enumerate(dom.sets):
-        for x, sub in dom.removal_position[si].items():
-            s_sub = dom.sets[sub]
+        for x in s:
+            s_sub = tuple(e for e in s if e != x)
+            if s_sub not in dom.set_position:
+                continue
+            sub = dom.set_position[s_sub]
             for y in s:
                 if y == x:
                     continue

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -8,15 +9,18 @@ from choicelattice import (
     ChoiceDomain,
     ChoiceError,
     ChoiceFunction,
+    ChoiceModel,
     Comparison,
     DomainMismatchError,
     PrimitiveOrderings,
+    cli,
     compare,
     join,
+    lattice_closure,
     meet,
     restrict_ordering,
 )
-from choicelattice.core import compare_picks, join_picks, meet_picks
+from brute import compare_picks, join_picks, meet_picks
 
 from conftest import ABC, fn, random_ordering
 
@@ -226,3 +230,90 @@ def test_domain_mismatch_raises(dom3, dom4, ord3):
     with pytest.raises(DomainMismatchError):
         compare(fn(dom3, "aaab"),
                 ChoiceFunction(dom4, tuple(s[0] for s in dom4.sets)), ord3)
+
+
+def _scanned_removals(domain):
+    """(S, x, S \\ {x}) for every pair of domain sets one member apart."""
+    sets = [set(s) for s in domain.sets]
+    return sorted((si, min(s - t), ti)
+                  for si, s in enumerate(sets) for ti, t in enumerate(sets)
+                  if len(t) == len(s) - 1 and t < s)
+
+
+# The last domain lacks {a, c}, {b, d} and {a, b, c}, so some S \ {x} is absent.
+TABLE_DOMAINS = [ChoiceDomain.full("abcdef"[:n]) for n in range(3, 7)] + [
+    ChoiceDomain.from_symbols("abcd", ["abcd", "abd", "acd", "bcd",
+                                       "ab", "ad", "bc", "cd"])]
+
+
+@pytest.mark.parametrize("domain", TABLE_DOMAINS, ids=lambda d: str(len(d.sets)))
+def test_removal_tables_equal_a_scan_of_the_sets(domain):
+    removals = _scanned_removals(domain)
+    assert domain.removals == tuple(removals)
+    for p in range(len(domain.sets)):
+        assert domain.removal_pairs[p] == tuple(
+            r for r in removals if p in (r[0], r[2]))
+    assert domain.comparisons == tuple(
+        (si, x, sub, y, domain.sets[si].index(y), domain.sets[sub].index(y))
+        for si, x, sub in removals for y in domain.sets[si] if y != x)
+    possible = sum(len(s) for s in domain.sets if len(s) > 2)
+    assert (len(removals) == possible) is domain.is_full
+
+
+class TestPackedWrappers:
+    """The public pick-vector operations against the tuple-loop references."""
+
+    @pytest.fixture(scope="class")
+    def closures(self):
+        cases = []
+        for n in (3, 4):
+            domain = ChoiceDomain.full("abcd"[:n])
+            for per_set in (False, True):
+                rng = random.Random(10 * n + per_set)
+                for _ in range(3):
+                    ordering = random_ordering(rng, domain, per_set)
+                    gens = ChoiceModel.from_picks(domain, [
+                        tuple(rng.choice(s) for s in domain.sets)
+                        for _ in range(3)])
+                    cases.append((lattice_closure(gens, ordering), ordering))
+        return cases
+
+    def test_compare_join_meet_equal_the_references(self, closures):
+        seen = set()
+        for m, ordering in closures:
+            rank = ordering.rank
+            for c1, c2 in itertools.product(m.functions, repeat=2):
+                expect = compare_picks(c1.picks, c2.picks, rank)
+                seen.add(expect)
+                assert compare(c1, c2, ordering) is expect
+                assert join(c1, c2, ordering).picks == join_picks(
+                    c1.picks, c2.picks, rank)
+                assert meet(c1, c2, ordering).picks == meet_picks(
+                    c1.picks, c2.picks, rank)
+        assert seen == set(Comparison)
+
+    def test_hasse_edges_are_the_covers(self, closures, tmp_path, capsys):
+        for k, (m, ordering) in enumerate(closures):
+            model_path, order_path = tmp_path / f"m{k}.json", tmp_path / f"o{k}.json"
+            model_path.write_text(json.dumps(cli.model_json(m)))
+            if ordering.global_order is None:
+                orders = {"per_set": [{"set": list(m.domain.set_symbols(si)),
+                                       "rank": list(m.domain.symbols(r))}
+                                      for si, r in enumerate(ordering.per_set)]}
+            else:
+                orders = {"global": list(ordering.global_symbols())}
+            order_path.write_text(json.dumps(orders))
+            assert cli.main(["hasse", str(model_path), str(order_path)]) == 0
+            edges = {tuple(json.loads(end) for end in line.strip(" ;").split(" -> "))
+                     for line in capsys.readouterr().out.splitlines()
+                     if " -> " in line}
+            rank = ordering.rank
+            below = {c.picks: {d.picks for d in m.functions
+                               if compare_picks(c.picks, d.picks, rank)
+                               is Comparison.DOMINATES}
+                     for c in m.functions}
+            covers = {(cli.func_repr(c), cli.func_repr(d))
+                      for c in m.functions for d in m.functions
+                      if d.picks in below[c.picks] and not any(
+                          d.picks in below[mid] for mid in below[c.picks])}
+            assert edges == covers

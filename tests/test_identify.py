@@ -8,6 +8,7 @@ from choicelattice import (
     ChoiceDomain,
     ChoiceFunction,
     ChoiceModel,
+    DomainMismatchError,
     GuardError,
     PrimitiveOrderings,
     agreeing_orderings,
@@ -70,6 +71,23 @@ class TestBetweenness:
         r1 = rel(ABC, ("b", "a", "c"))
         r2 = rel(ABC, ("b", "c", "a"))
         assert r1 == r2
+
+    @pytest.mark.parametrize("triple", [("z", "a", "c"), ("b", "z", "c"),
+                                        ("b", "a", "z")])
+    def test_unknown_symbols_are_named(self, triple):
+        with pytest.raises(DomainMismatchError, match="^unknown alternative 'z'$"):
+            rel(ABC, triple)
+        with pytest.raises(DomainMismatchError, match="^unknown alternative 'z'$"):
+            rel(ABC, ("b", "a", "c")).has(*triple)
+
+    def test_has_reads_one_index(self):
+        relation = rel("abcd", ("b", "a", "c"), ("c", "b", "d"))
+        expect = {("b", "a", "c"), ("b", "c", "a"), ("c", "b", "d"), ("c", "d", "b")}
+        for triple in itertools.permutations("abcd", 3):
+            assert relation.has(*triple) is (triple in expect)
+        index = relation._index
+        relation.has("a", "b", "c")
+        assert relation._index is index
 
 
 class TestAxioms:

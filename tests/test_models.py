@@ -29,10 +29,11 @@ from choicelattice import (
     theta_model,
 )
 
-from choicelattice.core import compare_picks, join_picks, meet_picks, order_ranks
+from choicelattice.core import order_ranks
 from choicelattice.models import theta_violation
 
-from brute import all_choice_functions, all_orderings
+from brute import (all_choice_functions, all_orderings, compare_picks,
+                   join_picks, meet_picks)
 from conftest import ABC, RATIONAL3, THETA3, fn, model, random_ordering
 
 

@@ -102,13 +102,22 @@ class TestExactEntries:
         rep = ProgressiveRepresentation(((1, fn(dom3, "aaab")),))
         assert type(rep.weights()[0]) is F
 
-    @pytest.mark.parametrize("bad", [0.5, "1/2", True])
+    @pytest.mark.parametrize("bad", [0.5, "1/2", "1", True])
     def test_other_entries_are_refused(self, dom3, bad):
         rows = [tuple(F(1, len(s)) for _ in s) for s in dom3.sets]
         rows[1] = (bad, F(1, 2))
-        with pytest.raises(ChoiceError, match=r"^probability over \('a', 'b'\) "
-                           + re.escape(repr(bad)) + " is not an int or a Fraction$"):
+        probability = (r"^probability over \('a', 'b'\) " + re.escape(repr(bad))
+                       + " is not an int or a Fraction$")
+        with pytest.raises(ChoiceError, match=probability):
             RandomChoiceFunction(dom3, tuple(rows))
+        table = {(dom3.set_symbols(si), dom3.alternatives[x]): p
+                 for si, (s, row) in enumerate(zip(dom3.sets, rows))
+                 for x, p in zip(s, row)}
+        with pytest.raises(ChoiceError, match=probability):
+            RandomChoiceFunction.from_table(dom3, table)
+        with pytest.raises(ChoiceError, match="^weight " + re.escape(repr(bad))
+                           + " is not an int or a Fraction$"):
+            compose({fn(dom3, "aaab"): bad, fn(dom3, "bbcc"): F(1, 2)})
         with pytest.raises(ChoiceError, match="^component weight "
                            + re.escape(repr(bad)) + " is not an int or a Fraction$"):
             ProgressiveRepresentation(((bad, fn(dom3, "aaab")),
