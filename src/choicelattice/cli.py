@@ -14,6 +14,14 @@ Every value shown as [...] must be a JSON list.  A model's "sets", a
 function, a per-set orderings file, and an rcf file (for each x) may list
 a set only once, whatever the order its members are written in.
 
+Model files skip per-entry work where they can.  On load, a function
+whose "picks" spell their sets exactly as the last function checked entry
+by entry did is found by one list comparison and reuses that function's
+set positions; only spellings whose members are all JSON strings are
+remembered (see ``load_model``).  ``closure`` and ``generate`` encode each
+(set, pick) entry once and join every function from the text of its
+entries.
+
 Exit codes: 0 pass, 1 semantic fail, 2 usage, parse or schema error
 (a wrong JSON type or a set listed twice included), 3 invariant violation
 in the input data.  All output is deterministic byte for byte.
@@ -119,7 +127,40 @@ def _position(domain: ChoiceDomain, members: Sequence[str], path) -> int:
         raise SchemaError(f"{path}: {exc}") from None
 
 
+def _entry_order(entries: list, domain: ChoiceDomain,
+                 positions: dict[tuple[str, ...], int], path) -> list[int]:
+    """Per set position, the index of the function entry that names it.
+
+    Entries are checked one by one; ``positions`` memoises each distinct
+    spelling of a set once per file.
+    """
+    at = {}
+    for i, entry in enumerate(entries):
+        members = _symbols(_need(entry, "set", path), "set", path)
+        pos = positions.get(members)
+        if pos is None:
+            pos = positions[members] = _position(domain, members, path)
+        if pos in at:
+            raise _second_entry(path, members, "a function")
+        _need(entry, "x", path)
+        at[pos] = i
+    try:
+        return [at[si] for si in range(len(domain.sets))]
+    except KeyError:
+        raise SchemaError(f"{path}: a function misses some choice set") from None
+
+
 def load_model(path: str | Path) -> ChoiceModel:
+    """Read a model file.
+
+    A function given as a dict is resolved entry by entry, unless its
+    ``"picks"`` spell their sets exactly as the last function so resolved
+    did: the same JSON lists in the same order, found by one list
+    comparison.  Such a function reuses that function's set positions, and
+    only its picks are checked.  A spelling is remembered only when every
+    member of every set is a JSON string, since ``==`` takes ``1``, ``1.0``
+    and ``true`` for one another where ``str`` does not.
+    """
     data = _read_json(path)
     raw = _need(data, "functions", path)
     if not isinstance(raw, list) or not raw:
@@ -141,8 +182,10 @@ def load_model(path: str | Path) -> ChoiceModel:
             raise _second_entry(path, members, where)
         seen.add(frozenset(members))
     domain = _infer_domain(sets, data, path)
-    # Each distinct spelling of a set is resolved once per file.
     positions: dict[tuple[str, ...], int] = {}
+    # the set spellings of the last function resolved entry by entry, and
+    # its entry index per set position
+    spelling, order = None, None
     functions = []
     for f in raw:
         if isinstance(f, str):
@@ -150,20 +193,19 @@ def load_model(path: str | Path) -> ChoiceModel:
         elif isinstance(f, list):
             functions.append(ChoiceFunction.from_symbols(domain, [str(x) for x in f]))
         elif isinstance(f, dict):
-            by_set = {}
-            for entry in _list(_need(f, "picks", path), "picks", path):
-                members = _symbols(_need(entry, "set", path), "set", path)
-                pos = positions.get(members)
-                if pos is None:
-                    pos = positions[members] = _position(domain, members, path)
-                if pos in by_set:
-                    raise _second_entry(path, members, "a function")
-                by_set[pos] = str(_need(entry, "x", path))
+            entries = _list(_need(f, "picks", path), "picks", path)
             try:
-                picks = [by_set[si] for si in range(len(domain.sets))]
-            except KeyError:
-                raise SchemaError(f"{path}: a function misses some choice set") from None
-            functions.append(ChoiceFunction.from_symbols(domain, picks))
+                spelt = [e["set"] for e in entries]
+                xs = [e["x"] for e in entries]
+            except (TypeError, KeyError):
+                spelt = None
+            if spelt is None or spelt != spelling:
+                # raises unless every entry is a dict with "set" and "x"
+                order = _entry_order(entries, domain, positions, path)
+                spelling = spelt if all(
+                    type(m) is str for s in spelt for m in s) else None
+            functions.append(ChoiceFunction.from_symbols(
+                domain, [xs[i] for i in order]))
         else:
             raise SchemaError(f"{path}: unrecognized function entry {f!r}")
     return ChoiceModel.from_functions(functions)
@@ -211,8 +253,11 @@ def load_orderings(path: str | Path, domain: ChoiceDomain) -> PrimitiveOrderings
     raise SchemaError(f"{path}: orderings need a 'global' or 'per_set' key")
 
 
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _dumps(obj: Any) -> str:
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+    return _encode(obj) + "\n"
 
 
 def func_repr(c: ChoiceFunction) -> Any:
@@ -221,23 +266,42 @@ def func_repr(c: ChoiceFunction) -> Any:
     return list(c.symbols())
 
 
-def model_json(model: ChoiceModel) -> dict:
-    """The model file of a model.
+def _model_table(model: ChoiceModel) -> tuple[dict, list[dict[int, dict]]]:
+    """The model file of a model with no functions yet, and its entries.
 
-    Each set's symbol list and each (set, pick) entry is built once, and
-    every function that makes that pick shares the entry.
+    ``entries[si][x]`` is the (set, pick) entry of a function that picks x
+    at set position si.  Each set's symbol list is built once and every
+    entry of that set shares it.
     """
     dom = model.domain
     sets = [list(dom.set_symbols(i)) for i in range(len(dom.sets))]
     entries = [{x: {"set": symbols, "x": dom.alternatives[x]} for x in s}
                for s, symbols in zip(dom.sets, sets)]
-    return {
-        "alternatives": list(dom.alternatives),
-        "sets": sets,
-        "functions": [
-            {"picks": [row[x] for row, x in zip(entries, c.picks)]}
-            for c in model.functions],
-    }
+    return {"alternatives": list(dom.alternatives), "sets": sets,
+            "functions": []}, entries
+
+
+def model_json(model: ChoiceModel) -> dict:
+    """The model file of a model.
+
+    Every function that makes a pick at a set shares that pick's entry.
+    """
+    data, entries = _model_table(model)
+    data["functions"] = [{"picks": [row[x] for row, x in zip(entries, c.picks)]}
+                         for c in model.functions]
+    return data
+
+
+def _model_text(model: ChoiceModel) -> str:
+    """``_dumps(model_json(model))``, with each (set, pick) entry encoded
+    once and each function joined from the text of its entries."""
+    data, entries = _model_table(model)
+    texts = [{x: _encode(entry) for x, entry in row.items()} for row in entries]
+    head = _encode(data)[:-2]  # open the empty "functions" list, the last key
+    functions = ",".join(
+        '{"picks":[' + ",".join(map(dict.__getitem__, texts, c.picks)) + "]}"
+        for c in model.functions)
+    return head + functions + "]}\n"
 
 
 def rcf_json(rcf: RandomChoiceFunction) -> dict:
@@ -326,7 +390,7 @@ def cmd_closure(args) -> int:
         else:
             sys.stderr.write("oracle check skipped: input is not the rational "
                              "model of a full domain with a global order\n")
-    sys.stdout.write(_dumps(model_json(closed)))
+    sys.stdout.write(_model_text(closed))
     return EXIT_PASS
 
 
@@ -375,7 +439,7 @@ def cmd_generate(args) -> int:
     else:  # theta
         order = (args.order.split(">") if args.order else list(alternatives))
         model = theta_model(domain, order)
-    sys.stdout.write(_dumps(model_json(model)))
+    sys.stdout.write(_model_text(model))
     return EXIT_PASS
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .core import ChoiceError, DomainMismatchError, GuardError
+from .core import ChoiceError, DomainMismatchError, GuardError, _as_tuple_of_symbols
 from .models import ChoiceModel
 
 
@@ -27,7 +27,9 @@ class BetweennessRelation:
     triples: frozenset[tuple[int, tuple[int, int]]] = frozenset()
 
     def __post_init__(self) -> None:
-        n = len(self.alternatives)
+        alts = _as_tuple_of_symbols(self.alternatives)
+        object.__setattr__(self, "alternatives", alts)
+        n = len(alts)
         for y, (x, z) in self.triples:
             if not (0 <= y < n and 0 <= x < n and 0 <= z < n):
                 raise ChoiceError("betweenness triple mentions an unknown alternative")
@@ -41,7 +43,7 @@ class BetweennessRelation:
                      triples: Iterable[tuple[str, str, str]]) -> "BetweennessRelation":
         """Triples (middle, one end, other end) of symbols; an unknown symbol
         raises ``DomainMismatchError``."""
-        empty = cls(tuple(str(a) for a in alternatives))
+        empty = cls(alternatives)
         return cls(empty.alternatives, frozenset(map(empty._triple, triples)))
 
     @cached_property

@@ -87,12 +87,20 @@ class RandomChoiceFunction:
         """Build from {(set symbols tuple/frozenset, symbol): weight}.
 
         Two keys that name the same set, in any spelling, and the same
-        symbol are refused.
+        symbol are refused.  Each distinct spelling of a set is resolved
+        once.
         """
         rows = [[ZERO] * len(s) for s in domain.sets]
         filled = set()
+        positions: dict[tuple[str, ...], int] = {}
         for (members, symbol), p in table.items():
-            pos, i = _slot(domain, members, symbol)
+            members = tuple(members)
+            # keyed by the strings the domain reads, so 1 and True differ
+            spelling = tuple(map(str, members))
+            pos = positions.get(spelling)
+            if pos is None:
+                pos = positions[spelling] = domain.position(members)
+            i = _member_slot(domain, pos, members, symbol)
             if (pos, i) in filled:
                 raise ChoiceError(f"set {domain.set_symbols(pos)!r} has a second "
                                   f"entry for x = {symbol!r}")
@@ -101,19 +109,20 @@ class RandomChoiceFunction:
         return cls(domain, tuple(tuple(r) for r in rows))
 
     def probability(self, members: Iterable[str], symbol: str) -> Fraction:
-        pos, i = _slot(self.domain, members, symbol)
-        return self.probs[pos][i]
+        members = tuple(members)
+        pos = self.domain.position(members)
+        return self.probs[pos][_member_slot(self.domain, pos, members, symbol)]
 
 
-def _slot(domain: ChoiceDomain, members: Iterable[str],
-          symbol: str) -> tuple[int, int]:
-    """Set position and member position of a symbol in a choice set."""
-    members = tuple(members)
-    pos = domain.position(members)
+def _member_slot(domain: ChoiceDomain, pos: int, members: tuple,
+                 symbol: str) -> int:
+    """Place of a symbol among the members of the set at ``pos``, which the
+    caller spelt as ``members``."""
+    s = domain.sets[pos]
     x = domain.index.get(str(symbol))
-    if x not in domain.sets[pos]:
+    if x not in s:
         raise ChoiceError(f"{symbol!r} is not a member of {members!r}")
-    return pos, domain.sets[pos].index(x)
+    return s.index(x)
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,20 @@ where the tests run.
 """
 
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from choicelattice import cli
+from choicelattice import (
+    ChoiceDomain,
+    RandomChoiceFunction,
+    cli,
+    enumerate_rational,
+    gen_random_model,
+    theta_model,
+)
 
 from conftest import RATIONAL3, THETA3
 
@@ -25,6 +34,25 @@ PAIRS3 = SETS3[1:]
 
 def _explicit(text, sets=SETS3):
     return {"picks": [{"set": list(s), "x": x} for s, x in zip(sets, text)]}
+
+
+def _after_two(text, index, entry):
+    """Two well-formed functions, then the function ``text`` with its entry
+    at ``index`` replaced, so the fault meets a remembered set spelling."""
+    picks = _explicit(text)["picks"]
+    picks[index] = entry
+    return {"functions": [_explicit("aaab"), _explicit("abab"), {"picks": picks}]}
+
+
+def _respelt(texts):
+    """Explicit functions in turn canonical, with their entries reversed, and
+    with the members of each set reversed."""
+    functions = [_explicit(t) for t in texts]
+    for f in functions[1::3]:
+        f["picks"].reverse()
+    for f in functions[2::3]:
+        f["picks"] = [{"set": e["set"][::-1], "x": e["x"]} for e in f["picks"]]
+    return {"functions": functions}
 
 
 def _rcf(table):
@@ -108,6 +136,20 @@ INPUTS = {
         {"picks": _explicit("aaab")["picks"] + [{"set": ["c", "a"], "x": "c"}]}]},
     "model_sets_duplicate.json": {"sets": [list(s) for s in SETS3] + [["c", "b"]],
                                   "functions": ["aaabb"]},
+    # A fault in a function after well-formed ones.
+    "memo_set_string.json": _after_two("aaac", 1, {"set": "ab", "x": "a"}),
+    "memo_missing_x.json": _after_two("aaac", 2, {"set": ["a", "c"]}),
+    "memo_entry_type.json": _after_two("aaac", 3, ["b", "c"]),
+    "memo_repeated_set.json": _after_two("aaac", 2, {"set": ["b", "a"], "x": "b"}),
+    "memo_pick_outside.json": _after_two("aaac", 1, {"set": ["a", "b"], "x": "c"}),
+    "memo_pick_unknown.json": _after_two("aaac", 3, {"set": ["b", "c"], "x": "z"}),
+    # 1 == True in JSON-decoded lists, but the symbols "1" and "True" differ.
+    "memo_true_spelling.json": {"functions": [
+        {"picks": [{"set": [1, "b"], "x": "1"}]},
+        {"picks": [{"set": [True, "b"], "x": "b"}]}]},
+    "rational_explicit.json": {"functions": [_explicit(t)
+                                             for t in sorted(RATIONAL3)]},
+    "rational_respelt.json": _respelt(sorted(RATIONAL3)),
     "per_set_duplicate.json": {"per_set": _per_set(["bac", "ab", "ca", "bc"])[
         "per_set"] + [{"set": ["c", "a"], "rank": ["a", "c"]}]},
 }
@@ -239,6 +281,31 @@ CASES = {
         ["check", "model_sets_duplicate.json", "--mixture"], 2,
         "error: model_sets_duplicate.json: 'sets' has a second entry for set "
         "('c', 'b')\n"),
+    "schema_memo_set_string": (
+        ["check", "memo_set_string.json", "--mixture"], 2,
+        "error: memo_set_string.json: 'set' must be a list, not str\n"),
+    "schema_memo_missing_x": (
+        ["check", "memo_missing_x.json", "--mixture"], 2,
+        "error: memo_missing_x.json: missing key 'x'\n"),
+    "schema_memo_entry_type": (
+        ["check", "memo_entry_type.json", "--mixture"], 2,
+        "error: memo_entry_type.json: missing key 'set'\n"),
+    "schema_memo_repeated_set": (
+        ["check", "memo_repeated_set.json", "--mixture"], 2,
+        "error: memo_repeated_set.json: a function has a second entry for set "
+        "('b', 'a')\n"),
+    "invariant_memo_pick_outside": (
+        ["check", "memo_pick_outside.json", "--mixture"], 3,
+        "error: pick 'c' is not a member of choice set ('a', 'b')\n"),
+    "schema_memo_pick_unknown": (
+        ["check", "memo_pick_unknown.json", "--mixture"], 2,
+        "error: unknown alternative 'z'\n"),
+    "schema_memo_true_spelling": (
+        ["check", "memo_true_spelling.json", "--mixture"], 2,
+        "error: memo_true_spelling.json: unknown alternative 'True'\n"),
+    "check_mixture_respelt": (
+        ["check", "rational_respelt.json", "--mixture"], 1, ""),
+    "closure_respelt": (["closure", "rational_respelt.json", "ord.json"], 0, ""),
     "schema_per_set_duplicate": (
         ["check", "example1.json", "per_set_duplicate.json", "--lattice"], 2,
         "error: per_set_duplicate.json: per_set has a second entry for set "
@@ -293,3 +360,65 @@ def test_closure_guard_exits_3(workdir, capsys):
     assert (code, out) == (3, "")
     assert err.startswith("error: lattice_closure: ")
     assert err.endswith(" members exceed the guard of 20,000\n")
+
+
+def test_respelt_functions_load_to_the_canonical_model(workdir):
+    canonical = cli.load_model("rational_explicit.json")
+    assert cli.load_model("rational_respelt.json") == canonical
+    assert GOLDEN["check_mixture_respelt"] == GOLDEN["check_mixture_fail"]
+
+
+def _random_rcf(rng, domain):
+    """Random rows over each set, every other row with a zero entry."""
+    rows = []
+    for si, s in enumerate(domain.sets):
+        weights = [rng.randrange(4) for _ in s]
+        first = rng.randrange(len(s))
+        weights[first] += 1
+        if si % 2:
+            weights[first - 1] = 0
+        rows.append(tuple(Fraction(w, sum(weights)) for w in weights))
+    return RandomChoiceFunction(domain, tuple(rows))
+
+
+def _written_models():
+    for n in (3, 4, 5, 6):
+        domain = ChoiceDomain.full("abcdef"[:n])
+        yield gen_random_model(n, domain, 20)
+        yield enumerate_rational(domain)
+        if n <= 4:
+            yield theta_model(domain, domain.alternatives[::-1])
+    domain = ChoiceDomain.full(["ab", "c", "d1", 'q"', "é"])
+    yield gen_random_model(5, domain, 40)
+    yield enumerate_rational(domain)
+
+
+def test_model_text_round_trip(tmp_path, monkeypatch):
+    resolved = []
+    entry_order = cli._entry_order
+
+    def counted(entries, *rest):
+        resolved.append(entries)
+        return entry_order(entries, *rest)
+
+    monkeypatch.setattr(cli, "_entry_order", counted)
+    for model in _written_models():
+        text = cli._model_text(model)
+        assert text == cli._dumps(cli.model_json(model))
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        resolved.clear()
+        assert cli.load_model(path) == model
+        # every function spells its sets as the first one does
+        assert len(resolved) == 1
+
+
+def test_rcf_json_round_trip(tmp_path):
+    rng = random.Random(10)
+    for n in range(3, 8):
+        domain = ChoiceDomain.full("abcdefg"[:n])
+        for _ in range(3):
+            rcf = _random_rcf(rng, domain)
+            path = tmp_path / "rcf.json"
+            path.write_text(cli._dumps(cli.rcf_json(rcf)), encoding="utf-8")
+            assert cli.load_rcf(path) == rcf

@@ -77,9 +77,10 @@ def test_every_exported_function_is_called():
     assert sorted(functions - called) == []
 
 
-# cli.rcf_json writes the rcf file format, which the command line only reads;
-# the benchmark writes its rcf inputs with it.
-WRITERS = {"cli.rcf_json"}
+# cli.rcf_json writes the rcf file format, which the command line only reads,
+# and cli.model_json the model file as a dict, which the command line writes
+# as text; the benchmark writes its inputs with them.
+WRITERS = {"cli.model_json", "cli.rcf_json"}
 
 
 def test_every_module_function_is_exported_or_used():

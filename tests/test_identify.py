@@ -6,6 +6,7 @@ import pytest
 from choicelattice import (
     BetweennessRelation,
     ChoiceDomain,
+    ChoiceError,
     ChoiceFunction,
     ChoiceModel,
     DomainMismatchError,
@@ -79,6 +80,16 @@ class TestBetweenness:
             rel(ABC, triple)
         with pytest.raises(DomainMismatchError, match="^unknown alternative 'z'$"):
             rel(ABC, ("b", "a", "c")).has(*triple)
+
+    @pytest.mark.parametrize("alternatives", ["aab", ("a", "b", "a"), ("1", 1)])
+    def test_repeated_symbols_are_refused(self, alternatives):
+        # as ChoiceDomain.from_symbols refuses them; symbols compare as strings
+        with pytest.raises(ChoiceError, match="^duplicate symbols in "):
+            rel(alternatives)
+        with pytest.raises(ChoiceError, match="^duplicate symbols in "):
+            BetweennessRelation(alternatives)
+        with pytest.raises(ChoiceError, match="^duplicate symbols in "):
+            ChoiceDomain.from_symbols(alternatives, [])
 
     def test_has_reads_one_index(self):
         relation = rel("abcd", ("b", "a", "c"), ("c", "b", "d"))

@@ -13,6 +13,7 @@ from choicelattice import (
     ChoiceFunction,
     ChoiceModel,
     Comparison,
+    DomainMismatchError,
     GuardError,
     PrimitiveOrderings,
     ProgressiveRepresentation,
@@ -603,3 +604,44 @@ class TestFromTable:
         table = {**rows, (frozenset("ab"), "a"): half, (("a", "b"), "b"): half}
         rho = RandomChoiceFunction.from_table(dom3, table)
         assert rho.probability("ba", "a") == half
+
+    def test_resolves_each_spelling_once(self, dom3, monkeypatch):
+        calls = []
+        position = ChoiceDomain.position
+
+        def counted(self, members):
+            calls.append(tuple(members))
+            return position(self, members)
+
+        monkeypatch.setattr(ChoiceDomain, "position", counted)
+        third = F(1, 3)
+        table = {(("a", "b", "c"), x): third for x in "abc"}
+        table |= {(("a", "b"), "a"): F(1, 2), (("b", "a"), "b"): F(1, 2),
+                  (("a", "c"), "a"): 1, (("c", "b"), "b"): 1}
+        rho = RandomChoiceFunction.from_table(dom3, table)
+        assert calls == [("a", "b", "c"), ("a", "b"), ("b", "a"), ("a", "c"),
+                         ("c", "b")]
+        assert rho.probs == ((third,) * 3, (F(1, 2),) * 2, (1, 0), (1, 0))
+
+    @pytest.mark.parametrize("key, error, message", [
+        ((("a", "b"), "z"), ChoiceError, "'z' is not a member of ('a', 'b')"),
+        ((("b", "a"), "c"), ChoiceError, "'c' is not a member of ('b', 'a')"),
+        ((("a", "z"), "a"), DomainMismatchError, "unknown alternative 'z'"),
+        ((("b", "a"), "a"), ChoiceError,
+         "set ('a', 'b') has a second entry for x = 'a'"),
+    ])
+    def test_errors_after_a_resolved_spelling(self, dom3, key, error, message):
+        # each fault follows an entry whose set spelling is already resolved
+        table = {(("a", "b"), "a"): F(1, 2), (("b", "a"), "b"): F(1, 2),
+                 key: 0}
+        with pytest.raises(error, match="^" + re.escape(message) + "$"):
+            RandomChoiceFunction.from_table(dom3, table)
+
+    def test_spellings_are_read_as_strings(self):
+        # (1, "b") == (True, "b"), but they spell different sets
+        domain = ChoiceDomain.from_symbols(["1", "True", "b"],
+                                           [["1", "b"], ["True", "b"]])
+        rho = RandomChoiceFunction.from_table(
+            domain, {((1, "b"), "1"): 1, ((True, "b"), "True"): 1})
+        assert rho.probability(("1", "b"), "1") == 1
+        assert rho.probability(("True", "b"), "True") == 1
