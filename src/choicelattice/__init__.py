@@ -17,24 +17,18 @@ from .core import (
     compare,
     join,
     meet,
-    restrict_ordering,
 )
 from .models import (
     ChoiceModel,
     LatticeWitness,
     MixtureWitness,
-    SetContingentUtility,
     ThetaViolation,
-    argmax_model,
     enumerate_rational,
     is_chain,
     is_lattice,
     is_mixture_closed,
-    is_single_crossing,
     lattice_closure,
-    rationalize,
     satisfies_theta,
-    set_contingent_representation,
     theta_model,
 )
 from .random_choice import (

@@ -36,6 +36,15 @@ def _as_tuple_of_symbols(symbols: Iterable[str]) -> tuple[str, ...]:
     return out
 
 
+def _indices(index: dict[str, int], symbols: Iterable) -> tuple[int, ...]:
+    """The index of each symbol, read through ``str``; an unknown symbol
+    raises ``DomainMismatchError`` naming it."""
+    try:
+        return tuple([index[str(a)] for a in symbols])
+    except KeyError as exc:
+        raise DomainMismatchError(f"unknown alternative {exc.args[0]!r}") from None
+
+
 @dataclass(frozen=True)
 class ChoiceDomain:
     """An alternative set plus a collection of choice sets (each of size >= 2).
@@ -55,17 +64,22 @@ class ChoiceDomain:
             raise ChoiceError("domain needs at least one alternative")
         canon = []
         for s in self.sets:
+            s = tuple(s)
             members = tuple(sorted(set(int(x) for x in s)))
-            if len(members) != len(tuple(s)):
-                raise ChoiceError(f"choice set {s!r} has repeated members")
+            if len(members) != len(s):
+                raise ChoiceError(
+                    f"choice set {self.symbols(s)!r} has repeated members")
             if len(members) < 2:
-                raise ChoiceError(f"choice set {s!r} has fewer than two members")
+                raise ChoiceError(
+                    f"choice set {self.symbols(s)!r} has fewer than two members")
             if members[0] < 0 or members[-1] >= n:
-                raise ChoiceError(f"choice set {s!r} mentions an unknown alternative")
+                raise ChoiceError(f"choice set {self.symbols(s)!r} mentions an "
+                                  f"unknown alternative")
             canon.append(members)
         canon.sort(key=lambda m: (-len(m), m))
-        if len(set(canon)) != len(canon):
-            raise ChoiceError("duplicate choice sets")
+        for m, following in zip(canon, canon[1:]):
+            if m == following:
+                raise ChoiceError(f"duplicate choice set {self.symbols(m)!r}")
         if not canon:
             raise ChoiceError("domain needs at least one choice set")
         object.__setattr__(self, "sets", tuple(canon))
@@ -75,11 +89,7 @@ class ChoiceDomain:
                      sets: Iterable[Iterable[str]]) -> "ChoiceDomain":
         alts = _as_tuple_of_symbols(alternatives)
         index = {a: i for i, a in enumerate(alts)}
-        try:
-            idx_sets = [tuple(index[str(x)] for x in s) for s in sets]
-        except KeyError as exc:
-            raise DomainMismatchError(f"unknown alternative {exc.args[0]!r}") from None
-        return cls(alts, tuple(idx_sets))
+        return cls(alts, tuple([_indices(index, s) for s in sets]))
 
     @classmethod
     def full(cls, alternatives: Iterable[str]) -> "ChoiceDomain":
@@ -165,21 +175,14 @@ class ChoiceDomain:
     def position(self, members: Iterable[str]) -> int:
         """Position in ``sets`` of the choice set with the given symbols."""
         members = tuple(members)
-        try:
-            key = tuple(sorted(self.index[str(m)] for m in members))
-        except KeyError as exc:
-            raise DomainMismatchError(f"unknown alternative {exc.args[0]!r}") from None
-        pos = self.set_position.get(key)
+        pos = self.set_position.get(tuple(sorted(_indices(self.index, members))))
         if pos is None:
             raise DomainMismatchError(f"{members!r} is not a domain set")
         return pos
 
     def order_index(self, order: Iterable[str]) -> tuple[int, ...]:
         """A strict total order of symbols as indices, best first."""
-        try:
-            g = tuple(self.index[str(a)] for a in order)
-        except KeyError as exc:
-            raise DomainMismatchError(f"unknown alternative {exc.args[0]!r}") from None
+        g = _indices(self.index, order)
         if sorted(g) != list(range(self.n)):
             raise ChoiceError("global order must rank every alternative exactly once")
         return g
@@ -199,17 +202,6 @@ def order_ranks(order: Sequence[int], n: int) -> list[int]:
     for pos, x in enumerate(order):
         rank[x] = pos
     return rank
-
-
-def restrict_ordering(global_order: Sequence[str],
-                      subset: Iterable[str]) -> tuple[str, ...]:
-    """Filter a strict total order down to a choice set, preserving rank."""
-    members = set(subset)
-    missing = members.difference(global_order)
-    if missing:
-        raise DomainMismatchError(
-            f"alternatives {sorted(missing)} missing from the ordering")
-    return tuple(x for x in global_order if x in members)
 
 
 @dataclass(frozen=True)
@@ -258,15 +250,8 @@ class PrimitiveOrderings:
     @classmethod
     def from_per_set(cls, domain: ChoiceDomain,
                      rankings: Iterable[Sequence[str]]) -> "PrimitiveOrderings":
-        idx = domain.index
-        per_set = []
-        for ranking in rankings:
-            try:
-                per_set.append(tuple(idx[str(a)] for a in ranking))
-            except KeyError as exc:
-                raise DomainMismatchError(
-                    f"unknown alternative {exc.args[0]!r}") from None
-        return cls(domain, tuple(per_set), None)
+        index = domain.index
+        return cls(domain, tuple([_indices(index, r) for r in rankings]), None)
 
     @cached_property
     def rank(self) -> tuple[tuple[int, ...], ...]:
@@ -369,11 +354,7 @@ class ChoiceFunction:
     @classmethod
     def from_symbols(cls, domain: ChoiceDomain,
                      picks: Sequence[str]) -> "ChoiceFunction":
-        idx = domain.index
-        try:
-            return cls(domain, tuple(idx[str(p)] for p in picks))
-        except KeyError as exc:
-            raise DomainMismatchError(f"unknown alternative {exc.args[0]!r}") from None
+        return cls(domain, _indices(domain.index, picks))
 
     @classmethod
     def from_string(cls, domain: ChoiceDomain, text: str) -> "ChoiceFunction":

@@ -10,13 +10,19 @@ identification is one pruned search for the agreeing orders.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .core import ChoiceError, DomainMismatchError, GuardError, _as_tuple_of_symbols
+from .core import ChoiceError, GuardError, _as_tuple_of_symbols, _indices
 from .models import ChoiceModel
+
+
+def _canonical(y: int, x: int, z: int) -> tuple[int, tuple[int, int]]:
+    """The triple (y between x and z) as stored: outer pair ascending."""
+    return y, (x, z) if x < z else (z, x)
 
 
 @dataclass(frozen=True)
@@ -51,11 +57,7 @@ class BetweennessRelation:
         return {a: i for i, a in enumerate(self.alternatives)}
 
     def _triple(self, symbols: tuple[str, str, str]) -> tuple[int, tuple[int, int]]:
-        try:
-            y, x, z = (self._index[str(a)] for a in symbols)
-        except KeyError as exc:
-            raise DomainMismatchError(f"unknown alternative {exc.args[0]!r}") from None
-        return y, (x, z) if x < z else (z, x)
+        return _canonical(*_indices(self._index, symbols))
 
     def has(self, y: str, x: str, z: str) -> bool:
         return self._triple((y, x, z)) in self.triples
@@ -73,18 +75,19 @@ def betweenness(model: ChoiceModel) -> BetweennessRelation:
     """Scan every member for (chosen; chosen-after-removal, removed) triples.
 
     Only removals whose leftover set is in the domain contribute, and the
-    three elements must be distinct.
+    three elements must be distinct.  Raw (y, x, z) triples are collected
+    first, and each distinct one is put in canonical order once.
     """
     removals = model.domain.removals
-    triples = set()
+    raw = set()
     for c in model.functions:
         picks = c.picks
         for si, z, sub in removals:
             y, x = picks[si], picks[sub]
             if x != y and z != y and z != x:
-                lo, hi = (x, z) if x < z else (z, x)
-                triples.add((y, (lo, hi)))
-    return BetweennessRelation(model.domain.alternatives, frozenset(triples))
+                raw.add((y, x, z))
+    return BetweennessRelation(model.domain.alternatives,
+                               frozenset(itertools.starmap(_canonical, raw)))
 
 
 @dataclass(frozen=True)
@@ -120,8 +123,7 @@ def check_axioms(relation: BetweennessRelation) -> AxiomReport:
     sb1 = b1 and len(by_elements) == math.comb(n, 3)
 
     def has(y, x, z):
-        lo, hi = (x, z) if x < z else (z, x)
-        return (y, (lo, hi)) in triples
+        return _canonical(y, x, z) in triples
 
     # B2 fails at (x, y, z, w) when y is between x and z, z between x and
     # w, and w between x and y; the witness is the least such quadruple.

@@ -3,7 +3,7 @@
 A choice model is a finite set of choice functions over one shared domain.
 This module verifies and builds the lattice structure behind orderly
 (progressive) representability, materializes the rational model and its
-minimal extension, and checks mixture closure and single crossing.
+minimal extension, and checks mixture closure.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -118,24 +117,6 @@ class MixtureWitness:
     escapee: ChoiceFunction
 
 
-@dataclass(frozen=True)
-class SetContingentUtility:
-    """Rational-valued utility of choosing x from S, for every (x, S) pair."""
-
-    domain: ChoiceDomain = field(hash=False)
-    values: tuple[tuple[Fraction, ...], ...] = ()  # aligned with domain.sets
-
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.domain.sets):
-            raise ChoiceError("one utility row per choice set is required")
-        for s, row in zip(self.domain.sets, self.values):
-            if len(row) != len(s):
-                raise ChoiceError("one utility value per set member is required")
-
-    def value(self, set_position: int, x: int) -> Fraction:
-        return self.values[set_position][self.domain.sets[set_position].index(x)]
-
-
 def _check_shared(model: ChoiceModel, ordering: PrimitiveOrderings) -> None:
     if model.domain != ordering.domain:
         raise DomainMismatchError("model and orderings live on different domains")
@@ -216,42 +197,6 @@ def is_chain(model: ChoiceModel, ordering: PrimitiveOrderings
         if not (better(a, b) or better(b, a)):
             return False, (model.functions[i], model.functions[j])
     return True, None
-
-
-def rationalize(c: ChoiceFunction) -> tuple[str, ...] | None:
-    """A strict preference whose maximization reproduces c, if one exists.
-
-    Decided by acyclicity of the revealed-preference digraph (x beats y
-    whenever c picks x from a set containing y).  Returns the
-    lexicographically least topological order, best to worst.
-    """
-    n = c.domain.n
-    beats: list[set[int]] = [set() for _ in range(n)]
-    for s, x in zip(c.domain.sets, c.picks):
-        for y in s:
-            if y != x:
-                beats[x].add(y)
-    indeg = [0] * n
-    for x in range(n):
-        for y in beats[x]:
-            indeg[y] += 1
-    # Kahn's algorithm, always expanding the least available index.
-    available = sorted(x for x in range(n) if indeg[x] == 0)
-    order: list[int] = []
-    while available:
-        x = available.pop(0)
-        order.append(x)
-        changed = False
-        for y in sorted(beats[x]):
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                available.append(y)
-                changed = True
-        if changed:
-            available.sort()
-    if len(order) < n:
-        return None  # a cycle: no rationalizing preference
-    return tuple(c.domain.alternatives[x] for x in order)
 
 
 def enumerate_rational(domain: ChoiceDomain) -> ChoiceModel:
@@ -367,26 +312,18 @@ def theta_model(domain: ChoiceDomain,
     return ChoiceModel.from_picks(domain, _theta_picks(domain, order))
 
 
-def _chosen_product(model: ChoiceModel) -> tuple[list[set[int]], bool]:
-    """The alternatives chosen at each set, and whether the model is their
-    whole product: it always lies inside, so it is iff the sizes match."""
-    chosen: list[set[int]] = [set() for _ in model.domain.sets]
-    for c in model.functions:
-        for si, x in enumerate(c.picks):
-            chosen[si].add(x)
-    return chosen, math.prod(map(len, chosen)) == len(model)
-
-
 def is_mixture_closed(model: ChoiceModel) -> tuple[bool, MixtureWitness | None]:
     """True iff every pointwise recombination of any two members stays inside.
 
     Recombining members two at a time reaches every function of the product
     of the per-set chosen alternatives, so the model is closed iff it is that
-    product.  Only an open model scans its pairs, for the first escape.
+    product.  It always lies inside the product, so it is the product iff
+    the sizes match.  Only an open model scans its pairs, for the first
+    escape.
     """
-    if _chosen_product(model)[1]:
-        return True, None
     members = model.picks_set()
+    if math.prod(len(set(column)) for column in zip(*members)) == len(members):
+        return True, None
     for c1, c2 in itertools.combinations(model.functions, 2):
         options = [(x,) if x == y else (x, y) for x, y in zip(c1.picks, c2.picks)]
         for mix in itertools.product(*options):
@@ -394,59 +331,3 @@ def is_mixture_closed(model: ChoiceModel) -> tuple[bool, MixtureWitness | None]:
                 return False, MixtureWitness(c1, c2,
                                              ChoiceFunction(model.domain, mix))
     raise AssertionError("an open model has an escaping pair")
-
-
-def set_contingent_representation(model: ChoiceModel
-                                  ) -> tuple[SetContingentUtility, bool]:
-    """The 0/1 chosen-somewhere utility, and whether its argmax set is the model.
-
-    The argmax set is the product of the per-set chosen alternatives, so the
-    verification bool is equivalent to mixture closure (and so to the model
-    being self-progressive under every family of primitive orderings).
-    """
-    dom = model.domain
-    chosen, verified = _chosen_product(model)
-    values = tuple(
-        tuple(Fraction(1 if x in chosen[si] else 0) for x in s)
-        for si, s in enumerate(dom.sets))
-    return SetContingentUtility(dom, values), verified
-
-
-def argmax_model(utility: SetContingentUtility) -> ChoiceModel:
-    """All choice functions maximizing the summed set-contingent utility."""
-    dom = utility.domain
-    options = []
-    for si, s in enumerate(dom.sets):
-        best = max(utility.values[si])
-        options.append(tuple(x for x, v in zip(s, utility.values[si]) if v == best))
-    total = 1
-    for opt in options:
-        total *= len(opt)
-    if total > 1_000_000:
-        raise GuardError("argmax enumeration exceeds the guard")
-    return ChoiceModel.from_picks(dom, itertools.product(*options))
-
-
-def is_single_crossing(prefs: Sequence[Sequence[str]],
-                       global_order: Sequence[str]) -> bool:
-    """Agreement with the reference order grows along the sequence.
-
-    For every pair ranked x above y by the reference order, once some
-    preference in the sequence ranks x above y, every later one must too.
-    """
-    order = [str(a) for a in global_order]
-    index = {a: i for i, a in enumerate(order)}
-    ranks = []
-    for pref in prefs:
-        if sorted(pref) != sorted(order):
-            raise DomainMismatchError(
-                "every preference must rank the same alternatives")
-        ranks.append(order_ranks([index[a] for a in pref], len(order)))
-    for x, y in itertools.combinations(range(len(order)), 2):  # x above y
-        agreed = False
-        for r in ranks:
-            if r[x] < r[y]:
-                agreed = True
-            elif agreed:
-                return False
-    return True

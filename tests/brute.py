@@ -4,15 +4,19 @@ Each function here answers a question by exhaustion, independently of the
 route the package takes: every choice function of a domain, every order of
 a symbol set, the vertices of the cumulative polytope by halfspace
 insertion, sampled subdeterminants of its rows, a local betweenness order
-by trying every permutation, and the orders whose theta model contains a
-model by testing the theta axioms under all n! orders.  The progressive
-sweep, the cumulatives, the random theta axioms and ``compose`` are here
-too, on ``Fraction``s throughout, as the references for the package's
-integer routes, and the full per-component scans of a decomposition chain
-(``compare_picks`` on every consecutive pair, ``theta_violation`` on every
-component) as the references for its incremental certificate checks.  The
-tuple loops ``compare_picks``, ``join_picks`` and ``meet_picks`` are the
-references for the package's packed pick-vector operations.
+by trying every permutation, the revealed betweenness of a model by a
+symbol-level scan of every removal, and the orders whose theta model
+contains a model by testing the theta axioms under all n! orders.
+``restrict_ordering`` filters an order down to a set, and
+``is_single_crossing`` reads a sequence of preferences pair by pair.  The
+progressive sweep, the cumulatives, the random theta axioms and
+``compose`` are here too, on ``Fraction``s throughout, as the references
+for the package's integer routes, and the full per-component scans of a
+decomposition chain (``compare_picks`` on every consecutive pair,
+``theta_violation`` on every component) as the references for its
+incremental certificate checks.  The tuple loops ``compare_picks``,
+``join_picks`` and ``meet_picks`` are the references for the package's
+packed pick-vector operations.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from choicelattice import (
     ChoiceFunction,
     ChoiceModel,
     Comparison,
+    DomainMismatchError,
     GuardError,
     PrimitiveOrderings,
     RandomChoiceFunction,
@@ -92,6 +97,57 @@ def all_orderings(symbols: Sequence[str]) -> tuple[tuple[str, ...], ...]:
     if len(symbols) > ORDERING_GUARD_N:
         raise GuardError(f"ordering enumeration is guarded at n <= {ORDERING_GUARD_N}")
     return tuple(itertools.permutations(tuple(str(s) for s in symbols)))
+
+
+def restrict_ordering(global_order: Sequence[str],
+                      subset: Iterable[str]) -> tuple[str, ...]:
+    """Filter a strict total order down to a choice set, preserving rank."""
+    members = set(subset)
+    return tuple(x for x in global_order if x in members)
+
+
+def is_single_crossing(prefs: Sequence[Sequence[str]],
+                       global_order: Sequence[str]) -> bool:
+    """Agreement with the reference order grows along the sequence.
+
+    For every pair ranked x above y by the reference order, once some
+    preference in the sequence ranks x above y, every later one must too.
+    """
+    order = [str(a) for a in global_order]
+    index = {a: i for i, a in enumerate(order)}
+    ranks = []
+    for pref in prefs:
+        if sorted(pref) != sorted(order):
+            raise DomainMismatchError(
+                "every preference must rank the same alternatives")
+        ranks.append(order_ranks([index[a] for a in pref], len(order)))
+    for x, y in itertools.combinations(range(len(order)), 2):  # x above y
+        agreed = False
+        for r in ranks:
+            if r[x] < r[y]:
+                agreed = True
+            elif agreed:
+                return False
+    return True
+
+
+def betweenness_scan(model: ChoiceModel) -> frozenset[tuple[str, frozenset[str]]]:
+    """(c(S); c(S minus x), x) as (middle, outer pair) symbols.
+
+    Recorded for each member c, each set S and each x in S with S minus x
+    in the domain, whenever the three symbols are distinct.
+    """
+    dom = model.domain
+    sets = [frozenset(dom.set_symbols(i)) for i in range(len(dom.sets))]
+    found = set()
+    for c in model:
+        choice = dict(zip(sets, c.symbols()))
+        for s in sets:
+            for x in s:
+                after = choice.get(s - {x})
+                if after is not None and len({choice[s], after, x}) == 3:
+                    found.add((choice[s], frozenset((after, x))))
+    return frozenset(found)
 
 
 def theta_orders(model: ChoiceModel) -> tuple[tuple[str, ...], ...]:

@@ -150,6 +150,13 @@ INPUTS = {
     "rational_explicit.json": {"functions": [_explicit(t)
                                              for t in sorted(RATIONAL3)]},
     "rational_respelt.json": _respelt(sorted(RATIONAL3)),
+    # Sets with a repeated member or a single member.
+    "model_repeated_member.json": {"functions": [
+        {"picks": [{"set": ["a", "a", "b"], "x": "a"}]}]},
+    "model_short_set.json": {"functions": [
+        {"picks": [{"set": ["a", "b"], "x": "a"}, {"set": ["c"], "x": "c"}]}]},
+    "rcf_repeated_member.json": _rcf([("aab", "a", "1")]),
+    "rcf_short_set.json": _rcf([("ab", "a", "1"), ("c", "c", "1")]),
     "per_set_duplicate.json": {"per_set": _per_set(["bac", "ab", "ca", "bc"])[
         "per_set"] + [{"set": ["c", "a"], "rank": ["a", "c"]}]},
 }
@@ -212,6 +219,18 @@ CASES = {
         "error: pick 'a' is not a member of choice set ('b', 'c')\n"),
     "invariant_rcf_symbol": (["decompose", "bad_symbol.json", "ord.json"], 3,
                              "error: 'z' is not a member of ('a', 'c')\n"),
+    "invariant_model_repeated_member": (
+        ["check", "model_repeated_member.json", "--mixture"], 3,
+        "error: choice set ('a', 'a', 'b') has repeated members\n"),
+    "invariant_model_short_set": (
+        ["check", "model_short_set.json", "--mixture"], 3,
+        "error: choice set ('c',) has fewer than two members\n"),
+    "invariant_rcf_repeated_member": (
+        ["decompose", "rcf_repeated_member.json", "ord.json"], 3,
+        "error: choice set ('a', 'a', 'b') has repeated members\n"),
+    "invariant_rcf_short_set": (
+        ["decompose", "rcf_short_set.json", "ord.json"], 3,
+        "error: choice set ('c',) has fewer than two members\n"),
     "invariant_short_ranking": (
         ["decompose", "rcf.json", "per_set_short.json"], 3,
         "error: ranking ('a',) is not a permutation of set ('a', 'b')\n"),

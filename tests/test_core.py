@@ -18,9 +18,8 @@ from choicelattice import (
     join,
     lattice_closure,
     meet,
-    restrict_ordering,
 )
-from brute import compare_picks, join_picks, meet_picks
+from brute import compare_picks, join_picks, meet_picks, restrict_ordering
 
 from conftest import ABC, fn, random_ordering
 
@@ -32,23 +31,23 @@ def test_domain_canonical_set_order(dom3):
 
 
 def test_domain_validation():
-    with pytest.raises(ChoiceError):
-        ChoiceDomain.from_symbols(["a", "b"], [["a"]])  # singleton set
+    # errors name the symbols of the set, not its indices
+    with pytest.raises(ChoiceError, match=r"^choice set \('a',\) has fewer "
+                       r"than two members$"):
+        ChoiceDomain.from_symbols(["a", "b"], [["a"]])
+    with pytest.raises(ChoiceError, match=r"^choice set \('a', 'a', 'b'\) "
+                       r"has repeated members$"):
+        ChoiceDomain.from_symbols(["a", "b"], [["a", "a", "b"]])
+    with pytest.raises(ChoiceError, match=r"^choice set \('a', 5\) mentions "
+                       r"an unknown alternative$"):
+        ChoiceDomain(("a", "b"), ((0, 5),))
     with pytest.raises(ChoiceError):
         ChoiceDomain.from_symbols(["a", "a"], [["a", "a"]])  # dup symbol
     with pytest.raises(DomainMismatchError):
         ChoiceDomain.from_symbols(["a", "b"], [["a", "z"]])
-    with pytest.raises(ChoiceError):
-        ChoiceDomain.from_symbols(["a", "b", "c"],
-                                  [["a", "b"], ["b", "a"]])  # dup set
-
-
-def test_restrict_ordering():
-    assert restrict_ordering(("a", "b", "c"), {"a", "c"}) == ("a", "c")
-    assert restrict_ordering(("a", "b", "c"), {"b", "c"}) == ("b", "c")
-    assert restrict_ordering(("a", "b", "c"), {"a", "b", "c"}) == ("a", "b", "c")
-    with pytest.raises(DomainMismatchError):
-        restrict_ordering(("a", "b"), {"a", "z"})
+    with pytest.raises(ChoiceError, match=r"^duplicate choice set "
+                       r"\('a', 'b'\)$"):
+        ChoiceDomain.from_symbols(["a", "b", "c"], [["a", "b"], ["b", "a"]])
 
 
 def test_per_set_orders_are_restrictions(dom3, ord3):

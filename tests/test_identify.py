@@ -22,7 +22,8 @@ from choicelattice import (
     theta_model,
 )
 
-from brute import agrees, all_orderings, local_ordering, theta_orders
+from brute import (agrees, all_orderings, betweenness_scan, local_ordering,
+                   theta_orders)
 from conftest import ABC, fn, model
 
 
@@ -358,6 +359,17 @@ class TestSingleRoute:
             sizes.add((m.domain.n, min(len(scan), 3)))
         # at each n, models with no order, exactly two, and more than two
         assert sizes == {(n, k) for n in (3, 4, 5) for k in (0, 2, 3)}
+
+    def test_betweenness_is_the_literal_scan(self, dom4, lemma_cases):
+        models = [theta_model(dom4, "abcd")] + [m for m, _ in lemma_cases]
+        revealing = set()
+        for m in models:
+            found = {(y, frozenset((x, z)))
+                     for y, x, z in betweenness(m).triples_symbols()}
+            assert found == betweenness_scan(m)
+            if found:
+                revealing.add(m.domain.n)
+        assert revealing == {3, 4, 5}
 
     def test_identify_is_the_theta_scan(self, lemma_cases):
         axioms_fail = 0

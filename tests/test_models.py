@@ -14,18 +14,14 @@ from choicelattice import (
     Comparison,
     GuardError,
     PrimitiveOrderings,
-    argmax_model,
     enumerate_rational,
     is_chain,
     is_lattice,
     is_mixture_closed,
-    is_single_crossing,
     join,
     lattice_closure,
     meet,
-    rationalize,
     satisfies_theta,
-    set_contingent_representation,
     theta_model,
 )
 
@@ -33,7 +29,7 @@ from choicelattice.core import order_ranks
 from choicelattice.models import theta_violation
 
 from brute import (all_choice_functions, all_orderings, compare_picks,
-                   join_picks, meet_picks)
+                   is_single_crossing, join_picks, meet_picks)
 from conftest import ABC, RATIONAL3, THETA3, fn, model, random_ordering
 
 
@@ -228,30 +224,6 @@ class TestChain:
         assert is_chain(model(dom3, "bacb"), ord3)[0]
 
 
-class TestRationalize:
-    def test_with_brute_force_oracle(self, dom3):
-        c = fn(dom3, "aaab")
-        witnesses = [order for order in all_orderings(ABC)
-                     if _maximizer(dom3, order) == c]
-        assert witnesses == [("a", "b", "c")]
-        assert rationalize(c) == ("a", "b", "c")
-
-    def test_cycle_is_refused(self, dom3):
-        c = fn(dom3, "abab")  # picks a over b from X but b from {a,b}
-        assert rationalize(c) is None
-        assert all(_maximizer(dom3, order) != c for order in all_orderings(ABC))
-
-    def test_disjoint_binary_domains_always_rational(self):
-        domain = ChoiceDomain.from_symbols("abcd", [["a", "b"], ["c", "d"]])
-        for picks in itertools.product(*domain.sets):
-            order = rationalize(ChoiceFunction(domain, picks))
-            assert order is not None
-            rank = {a: i for i, a in enumerate(order)}
-            for i, s in enumerate(domain.sets):
-                chosen = domain.alternatives[picks[i]]
-                assert all(rank[chosen] <= rank[domain.alternatives[x]] for x in s)
-
-
 class TestEnumerateRational:
     def test_full_n3(self, dom3):
         assert set(enumerate_rational(dom3).strings()) == RATIONAL3
@@ -346,17 +318,26 @@ class TestMixtureClosure:
         assert time.perf_counter() - start < 1
 
 
+def _argmax_set(m):
+    """The choice functions that maximise the summed set-contingent utility
+    u(x, S) = 1 if some member of m picks x at S, else 0: every function
+    that picks at each set an alternative chosen there, a literal product."""
+    chosen = [{c.picks[si] for c in m} for si in range(len(m.domain.sets))]
+    return set(itertools.product(*chosen))
+
+
 class TestSetContingent:
+    """A model is mixture closed iff it is the argmax set of a
+    set-contingent utility, the 0/1 indicator of the chosen alternatives."""
+
     def test_example1_verifies(self, example1_model):
-        utility, ok = set_contingent_representation(example1_model)
-        assert ok
-        assert argmax_model(utility) == example1_model
+        assert _argmax_set(example1_model) == example1_model.picks_set()
+        assert is_mixture_closed(example1_model)[0]
 
     def test_rational_does_not(self, dom3):
         rational = enumerate_rational(dom3)
-        utility, ok = set_contingent_representation(rational)
-        assert not ok
-        assert len(argmax_model(utility)) > len(rational)
+        assert len(_argmax_set(rational)) > len(rational)
+        assert not is_mixture_closed(rational)[0]
 
     def test_matches_mixture_closure_on_samples(self, dom3):
         rng = random.Random(5)
@@ -364,7 +345,7 @@ class TestSetContingent:
         for _ in range(40):
             m = ChoiceModel.from_functions(
                 rng.sample(universe, rng.randint(1, 5)))
-            assert set_contingent_representation(m)[1] == is_mixture_closed(m)[0]
+            assert (_argmax_set(m) == m.picks_set()) == is_mixture_closed(m)[0]
 
 
 class TestProp3Triangle:
@@ -375,7 +356,7 @@ class TestProp3Triangle:
             m = ChoiceModel.from_functions(
                 rng.sample(universe, rng.randint(1, 4)))
             closed, witness = is_mixture_closed(m)
-            assert set_contingent_representation(m)[1] == closed
+            assert (_argmax_set(m) == m.picks_set()) == closed
             if closed:
                 for _ in range(100):
                     rankings = [rng.sample(list(s), len(s)) for s in dom3.sets]
