@@ -165,15 +165,17 @@ def load_model(path: str | Path) -> ChoiceModel:
     raw = _need(data, "functions", path)
     if not isinstance(raw, list) or not raw:
         raise SchemaError(f"{path}: 'functions' must be a nonempty list")
-    explicit = [f for f in raw if isinstance(f, dict)]
+    first = next((i for i, f in enumerate(raw) if isinstance(f, dict)), None)
     if "sets" in data:
         where = "'sets'"
         sets = [_symbols(s, f"sets[{i}]", path)
                 for i, s in enumerate(_list(data["sets"], "sets", path))]
-    elif explicit:
+    elif first is not None:
         where = "a function"
         sets = [_symbols(_need(entry, "set", path), "set", path)
-                for entry in _list(_need(explicit[0], "picks", path), "picks", path)]
+                for entry in _list(_need(raw[first], "picks", path), "picks", path)]
+        if not sets:
+            raise SchemaError(f"{path}: function {first} has no picks")
     else:
         raise SchemaError(f"{path}: compact functions need a top-level 'sets' key")
     seen = set()

@@ -10,6 +10,7 @@ deterministic.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -285,19 +286,35 @@ class PackedRanks(NamedTuple):
     Each field is ``width`` bits wide with a guard bit above it (``guard``
     marks the guard bits), so that one big-integer subtraction compares
     every field at once without borrows crossing fields (SWAR; Warren,
-    *Hacker's Delight*, ch. 2).  A lower rank is a better pick, so ``join``
-    keeps the smaller field and ``meet`` the larger; ``weakly_better(a, b)``
+    *Hacker's Delight*, ch. 2).  A lower rank is a better pick, so the join
+    keeps the smaller field and the meet the larger; ``weakly_better(a, b)``
     is true iff a's rank is <= b's in every field.  Works for per-set
     orderings as well as global ones.
+
+    A block lays vectors out one after another with a stride of ``words``
+    whole 64-bit words, W = ceil((width + 1) * |sets| / 64), vector t at
+    bit 64 W t, little-endian.  Fields never straddle two vectors, so
+    ``join(a, b, g)`` and ``meet(a, b, g)``, with g the guard repeated once
+    per vector, combine every pair of vectors at the same place in a and b
+    at once; the default guard gives the one-vector case.
+    ``keys(block, count)`` reads a block of ``count`` vectors back as one
+    hashable key per vector: its word when W = 1, its W-tuple of words
+    otherwise.  Keys are comparable only with keys read the same way.
     """
 
     width: int
     guard: int
+    words: int
     pack: Callable[[Sequence[int]], int]
     unpack: Callable[[int], tuple[int, ...]]
-    join: Callable[[int, int], int]
-    meet: Callable[[int, int], int]
+    join: Callable[..., int]
+    meet: Callable[..., int]
     weakly_better: Callable[[int, int], bool]
+    keys: Callable[[int, int], Iterable]
+
+
+if array("Q").itemsize != 8:
+    raise ImportError("PackedRanks blocks need 8-byte array('Q') items")
 
 
 def _packed_ranks(ordering: PrimitiveOrderings) -> PackedRanks:
@@ -305,6 +322,7 @@ def _packed_ranks(ordering: PrimitiveOrderings) -> PackedRanks:
     ones = (1 << k) - 1
     shifts = tuple(range(0, (k + 1) * len(ordering.per_set), k + 1))
     guard = sum(1 << (shift + k) for shift in shifts)
+    words = -(-(k + 1) * len(shifts) // 64)
     rank, per_set = ordering.rank, ordering.per_set
 
     def pack(picks):
@@ -316,19 +334,26 @@ def _packed_ranks(ordering: PrimitiveOrderings) -> PackedRanks:
 
     # The guard bit of a field survives (a | guard) - b iff a's rank >= b's;
     # g - (g >> k) widens each surviving guard bit to all ones in its field,
-    # and x ^ ((a ^ b) & ge) swaps x for the other operand in those fields.
-    def join(a, b):
+    # and a ^ ((a ^ b) & ge) swaps a for b in those fields.  In every field
+    # the meet holds the operand that the join did not take.
+    def join(a, b, guard=guard):
         g = ((a | guard) - b) & guard
         return a ^ ((a ^ b) & (g - (g >> k)))
 
-    def meet(a, b):
-        g = ((a | guard) - b) & guard
-        return b ^ ((a ^ b) & (g - (g >> k)))
+    def meet(a, b, guard=guard):
+        return a ^ b ^ join(a, b, guard)
 
     def weakly_better(a, b):
         return ((b | guard) - a) & guard == guard
 
-    return PackedRanks(k, guard, pack, unpack, join, meet, weakly_better)
+    def keys(block, count):
+        flat = array("Q", block.to_bytes(8 * words * count, "little"))
+        if words == 1:
+            return flat
+        return zip(*(flat[t::words] for t in range(words)))
+
+    return PackedRanks(k, guard, words, pack, unpack, join, meet, weakly_better,
+                       keys)
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,12 @@ class BetweennessRelation:
         return {a: i for i, a in enumerate(self.alternatives)}
 
     def _triple(self, symbols: tuple[str, str, str]) -> tuple[int, tuple[int, int]]:
-        return _canonical(*_indices(self._index, symbols))
+        symbols = tuple(symbols)
+        found = _indices(self._index, symbols)
+        if len(found) != 3:
+            raise ChoiceError(f"betweenness triple {symbols!r} needs "
+                              f"three alternatives, not {len(found)}")
+        return _canonical(*found)
 
     def has(self, y: str, x: str, z: str) -> bool:
         return self._triple((y, x, z)) in self.triples

@@ -122,27 +122,56 @@ def _check_shared(model: ChoiceModel, ordering: PrimitiveOrderings) -> None:
         raise DomainMismatchError("model and orderings live on different domains")
 
 
+BLOCK_WORDS = 2048
+
+
 def is_lattice(model: ChoiceModel, ordering: PrimitiveOrderings
                ) -> tuple[bool, LatticeWitness | None]:
     """True iff the join and meet of every pair stay inside the model.
 
-    Pairs are scanned in ``itertools.combinations`` order of the model's
-    functions, the join before the meet, so the witness is the first escape.
+    Pairs are taken in ``itertools.combinations`` order of the model's
+    functions, a block of rows at a time.  For rows i, ..., i + r - 1 one
+    ``PackedRanks.join`` and one ``meet`` combine every later member with
+    its row's member, in the word-stride layout of ``PackedRanks``, and
+    the joins and meets are tested against the member keys in C.  A block
+    holds about ``BLOCK_WORDS`` words per operand, r = max(1, BLOCK_WORDS
+    // (|M| W)) rows, so memory stays bounded whatever the model's size.
+    Only a failing block is walked again, in pair order, the join before
+    the meet; the witness is its first escape, recomputed with the scalar
+    join or meet.
     """
     _check_shared(model, ordering)
     packed = ordering.packed
+    m, size = len(model.functions), 8 * packed.words
     values = [packed.pack(c.picks) for c in model.functions]
-    members = set(values)
-    join, meet = packed.join, packed.meet
-    for (i, a), (j, b) in itertools.combinations(enumerate(values), 2):
-        kind, escapee = "join", join(a, b)
-        if escapee in members:
-            kind, escapee = "meet", meet(a, b)
-            if escapee in members:
+    vectors = [v.to_bytes(size, "little") for v in values]
+    blob = b"".join(vectors)
+    members = set(packed.keys(int.from_bytes(blob, "little"), m))
+    guard = packed.guard.to_bytes(size, "little")
+    step = max(1, BLOCK_WORDS // (m * packed.words))
+    for top in range(0, m - 1, step):
+        rows = range(top, min(top + step, m - 1))
+        later = b"".join([blob[(i + 1) * size:] for i in rows])
+        own = b"".join([vectors[i] * (m - 1 - i) for i in rows])
+        count = len(later) // size
+        a, b, g = (int.from_bytes(x, "little")
+                   for x in (later, own, guard * count))
+        joins, meets = packed.join(a, b, g), packed.meet(a, b, g)
+        if (members.issuperset(packed.keys(joins, count))
+                and members.issuperset(packed.keys(meets, count))):
+            continue
+        results = zip(packed.keys(joins, count), packed.keys(meets, count))
+        pairs = ((i, j) for i in rows for j in range(i + 1, m))
+        for (i, j), (join_key, meet_key) in zip(pairs, results):
+            if join_key not in members:
+                kind, escapee = "join", packed.join(values[i], values[j])
+            elif meet_key not in members:
+                kind, escapee = "meet", packed.meet(values[i], values[j])
+            else:
                 continue
-        return False, LatticeWitness(
-            model.functions[i], model.functions[j], kind,
-            ChoiceFunction(model.domain, packed.unpack(escapee)))
+            return False, LatticeWitness(
+                model.functions[i], model.functions[j], kind,
+                ChoiceFunction(model.domain, packed.unpack(escapee)))
     return True, None
 
 

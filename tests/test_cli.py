@@ -118,6 +118,7 @@ INPUTS = {
         _explicit("aaab"), {"picks": [{"set": 3, "x": "a"}]}]},
     "model_first_set_type.json": {"functions": [
         {"picks": [{"set": 3, "x": "a"}]}]},
+    "model_empty_function.json": {"functions": ["aaab", {"picks": []}]},
     "model_picks_type.json": {"functions": [_explicit("aaab"), {"picks": 3}]},
     "model_sets_type.json": {"sets": 3, "functions": ["aaab"]},
     "model_sets_member_type.json": {"sets": [["a", "b", "c"], 3],
@@ -262,6 +263,9 @@ CASES = {
     "schema_model_first_set_type": (
         ["check", "model_first_set_type.json", "--mixture"], 2,
         "error: model_first_set_type.json: 'set' must be a list, not int\n"),
+    "schema_model_empty_function": (
+        ["check", "model_empty_function.json", "--mixture"], 2,
+        "error: model_empty_function.json: function 1 has no picks\n"),
     "schema_model_picks_type": (
         ["check", "model_picks_type.json", "--mixture"], 2,
         "error: model_picks_type.json: 'picks' must be a list, not int\n"),

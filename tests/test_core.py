@@ -21,7 +21,7 @@ from choicelattice import (
 )
 from brute import compare_picks, join_picks, meet_picks, restrict_ordering
 
-from conftest import ABC, fn, random_ordering
+from conftest import fn, random_ordering
 
 
 def test_domain_canonical_set_order(dom3):

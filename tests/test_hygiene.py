@@ -42,7 +42,8 @@ def _unused_imports(path):
 
 
 def test_no_unused_imports():
-    unused = [entry for path in sorted(PACKAGE.glob("*.py"))
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    unused = [entry for path in paths
               if path.name != "__init__.py" for entry in _unused_imports(path)]
     assert unused == []
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -81,6 +82,13 @@ class TestBetweenness:
             rel(ABC, triple)
         with pytest.raises(DomainMismatchError, match="^unknown alternative 'z'$"):
             rel(ABC, ("b", "a", "c")).has(*triple)
+
+    @pytest.mark.parametrize("triple", [("a", "b"), ("b", "a", "c", "d"), ()])
+    def test_malformed_triples_are_named(self, triple):
+        with pytest.raises(ChoiceError, match=(
+                rf"^betweenness triple {re.escape(repr(triple))} needs three "
+                rf"alternatives, not {len(triple)}$")):
+            rel("abcd", triple)
 
     @pytest.mark.parametrize("alternatives", ["aab", ("a", "b", "a"), ("1", 1)])
     def test_repeated_symbols_are_refused(self, alternatives):

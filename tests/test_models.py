@@ -26,7 +26,7 @@ from choicelattice import (
 )
 
 from choicelattice.core import order_ranks
-from choicelattice.models import theta_violation
+from choicelattice.models import BLOCK_WORDS, theta_violation
 
 from brute import (all_choice_functions, all_orderings, compare_picks,
                    is_single_crossing, join_picks, meet_picks)
@@ -65,6 +65,16 @@ def _pairwise_witness(m, ordering):
             if escapee not in members:
                 return c1.picks, c2.picks, kind, escapee
     return None
+
+
+def _closure_of_size(rng, domain, ordering, low, high):
+    """The lattice closure of random generators, with low to high members."""
+    while True:
+        gens = [tuple(rng.choice(s) for s in domain.sets)
+                for _ in range(4 if domain.n > 4 else 6)]
+        closed = lattice_closure(ChoiceModel.from_picks(domain, gens), ordering)
+        if low <= len(closed) <= high:
+            return closed
 
 
 @functools.cache
@@ -126,6 +136,60 @@ class TestPackedEngine:
             assert is_chain(m, ordering) == (
                 (False, pairs[0]) if pairs else (True, None))
         assert failures >= 10
+
+    @pytest.mark.parametrize("per_set", [False, True])
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_is_lattice_blocks_match_pairwise_scan(self, n, per_set):
+        # closures of over 100 members span many blocks of rows; a model
+        # less the member at the first, a middle or the last position
+        # escapes where that member was built
+        rng = random.Random(300 * n + per_set)
+        domain = ChoiceDomain.full("abcdef"[:n])
+        ordering = random_ordering(rng, domain, per_set)
+        words = ordering.packed.words
+        assert words == {4: 1, 5: 2, 6: 4}[n]
+        closed = _closure_of_size(rng, domain, ordering, 100, 200)
+        fns = closed.functions
+        size, middle = len(fns), len(fns) // 2
+        assert BLOCK_WORDS // (size * words) < size // 4  # four blocks or more
+        assert is_lattice(closed, ordering) == (True, None)
+        models = [ChoiceModel(domain, fns[:1]),
+                  ChoiceModel(domain, fns[middle:middle + 2])]
+        models += [ChoiceModel(domain, fns[:i] + fns[i + 1:])
+                   for i in (0, middle, size - 1)]
+        for m in models:
+            ok, witness = is_lattice(m, ordering)
+            expect = _pairwise_witness(m, ordering)
+            assert ok is (expect is None)
+            if witness is not None:
+                assert (witness.left.picks, witness.right.picks, witness.kind,
+                        witness.escapee.picks) == expect
+
+    def test_is_lattice_finds_an_escape_at_the_last_pair(self):
+        # a chain strictly below j, then p and q with join j: under the
+        # alphabetical order a rank is the alternative's index, so the chain
+        # sorts first and (p, q) is the last pair, at n = 6 (four words per
+        # vector) in the last of many blocks
+        domain = ChoiceDomain.full("abcdef")
+        ordering = PrimitiveOrderings.from_global(domain, domain.alternatives)
+        sets = domain.sets
+        worst = [s[-1] for s in sets]
+        p, q = list(worst), list(worst)
+        p[0], q[1] = sets[0][-2], sets[1][-2]
+        j = [min(x, y) for x, y in zip(p, q)]
+        chain, c = [], [s[0] for s in sets]
+        for si, s in enumerate(sets):
+            while c[si] != j[si]:
+                chain.append(tuple(c))
+                c[si] = s[s.index(c[si]) + 1]
+        m = ChoiceModel.from_picks(domain, chain + [tuple(p), tuple(q)])
+        assert len(m) == 129 and BLOCK_WORDS // (129 * 4) < 127
+        ok, witness = is_lattice(m, ordering)
+        assert not ok
+        assert (witness.left, witness.right) == m.functions[-2:]
+        assert (witness.kind, witness.escapee.picks) == ("join", tuple(j))
+        assert _pairwise_witness(m, ordering) == (
+            witness.left.picks, witness.right.picks, "join", tuple(j))
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_theta_model_equals_axiom_filter(self, n):

@@ -1,5 +1,4 @@
 import functools
-import itertools
 import math
 import random
 import re
