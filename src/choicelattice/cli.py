@@ -170,6 +170,8 @@ def load_model(path: str | Path) -> ChoiceModel:
         where = "'sets'"
         sets = [_symbols(s, f"sets[{i}]", path)
                 for i, s in enumerate(_list(data["sets"], "sets", path))]
+        if not sets:
+            raise SchemaError(f"{path}: 'sets' must be a nonempty list")
     elif first is not None:
         where = "a function"
         sets = [_symbols(_need(entry, "set", path), "set", path)

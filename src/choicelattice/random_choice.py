@@ -350,17 +350,30 @@ def in_delta(rcf: RandomChoiceFunction, model: ChoiceModel
              ) -> tuple[bool, dict[ChoiceFunction, Fraction] | None]:
     """Exact feasibility of representing the RCF as a mixture over the model.
 
-    Solves, over nonnegative weights indexed by the model, one equation per
-    (set, alternative) except the first member of each set, and the
-    unit-mass equation.  The skipped equation is implied: each choice
-    function picks one member of the set, so its row is the unit-mass row
-    minus the set's other rows, and the RCF's probabilities over the set sum
-    to 1, so its right-hand side is 1 minus theirs.  Any one member could be
-    skipped; the first is, because the model's functions are sorted by picks
-    and Bland's rule enters the lowest column first, so the columns that
-    enter early pick first members and, without those rows, each pivot
+    The system is solved on the RCF's support.  The RCF is read once in
+    units of 1/D, D the lcm of its denominators (``_scaled``), as an ``int``
+    mass per set and alternative.  A model function with weight w > 0 puts
+    w on its pick at every set, so one that picks a zero-mass alternative
+    anywhere must have weight 0: only the functions whose picks all have
+    positive mass become columns, in the model's order.  If no function is
+    kept, or some positive entry (S, x) is picked by no kept function, the
+    answer is no with no LP.
+
+    Otherwise the rows are, per set, one equation for each positive-mass
+    member except the first one, and the unit-mass equation, all with
+    ``int`` right-hand sides in units of 1/D (D on the unit-mass row).  A
+    zero-mass row is all-zero once the columns are filtered, so it is
+    dropped.  The skipped row is implied: each kept function picks one
+    positive-mass member of the set, so its row is the unit-mass row minus
+    the set's other rows, and the masses over the set sum to D.  The first
+    member is the one skipped because the model's functions are sorted by
+    picks and Bland's rule enters the lowest column first, so the columns
+    that enter early pick first members and, without those rows, each pivot
     touches fewer rows.  The rows are 0/1 ``int``s and the system goes to
-    ``oracle.exact_feasible``.
+    ``oracle.exact_feasible``; its solution is divided by D once to give the
+    certificate.
+
+    ``DELTA_GUARD`` counts the model's functions before the filter.
     """
     dom = rcf.domain
     if model.domain != dom:
@@ -368,20 +381,32 @@ def in_delta(rcf: RandomChoiceFunction, model: ChoiceModel
     if len(model) > DELTA_GUARD:
         raise GuardError(f"in_delta: {len(model):,} model functions exceed "
                          f"the guard of {DELTA_GUARD:,}")
-    functions = model.functions
-    picks = [c.picks for c in functions]
+    common, units = _scaled(rcf)
+    mass = [[0] * dom.n for _ in dom.sets]
+    for row, s, u in zip(mass, dom.sets, units):
+        for x, v in zip(s, u):
+            row[x] = v
+    functions = [c for c in model.functions
+                 if all(map(list.__getitem__, mass, c.picks))]
+    if not functions:
+        return False, None
     rows: list[list[int]] = []
-    rhs: list[Fraction] = []
-    for si, s in enumerate(dom.sets):
-        for pos, x in enumerate(s[1:], 1):
-            rows.append([int(p[si] == x) for p in picks])
-            rhs.append(rcf.probs[si][pos])
+    rhs: list[int] = []
+    # per set, the kept functions' picks: all of them positive-mass members,
+    # so fewer distinct picks than such members leaves one uncovered
+    for picked, s, u in zip(zip(*(c.picks for c in functions)), dom.sets, units):
+        supported = [(x, v) for x, v in zip(s, u) if v]
+        if len(set(picked)) < len(supported):
+            return False, None
+        for x, v in supported[1:]:
+            rows.append([int(p == x) for p in picked])
+            rhs.append(v)
     rows.append([1] * len(functions))
-    rhs.append(ONE)
+    rhs.append(common)
     solution = exact_feasible(rows, rhs)
     if solution is None:
         return False, None
-    return True, {c: w for c, w in zip(functions, solution) if w != 0}
+    return True, {c: w / common for c, w in zip(functions, solution) if w != 0}
 
 
 @dataclass(frozen=True)

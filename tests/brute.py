@@ -16,7 +16,10 @@ decomposition chain (``compare_picks`` on every consecutive pair,
 ``theta_violation`` on every component) as the references for its
 incremental certificate checks.  The tuple loops ``compare_picks``,
 ``join_picks`` and ``meet_picks`` are the references for the package's
-packed pick-vector operations.
+packed pick-vector operations.  ``delta_unreduced`` decides Delta(M)
+membership on the full linear system, with no reduction to the RCF's
+support, and ``block_marschak`` writes out every Block-Marschak polynomial
+as its literal superset sum.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from choicelattice import (
     PrimitiveOrderings,
     RandomChoiceFunction,
     RThetaViolation,
+    exact_feasible,
 )
 from choicelattice.core import order_ranks
 from choicelattice.models import theta_violation
@@ -455,3 +459,53 @@ def theta_escape(chain: Sequence[tuple[int, ...]], domain: ChoiceDomain,
         if theta_violation(picks, domain, grank) is not None:
             return k
     return None
+
+
+def delta_unreduced(rcf: RandomChoiceFunction, model: ChoiceModel
+                    ) -> tuple[bool, dict[ChoiceFunction, Fraction] | None]:
+    """Delta(M) membership on the full system: every model function a
+    column, one row per (set, member) except each set's first member, the
+    unit-mass row, and the RCF's ``Fraction`` probabilities as right-hand
+    sides."""
+    functions = model.functions
+    rows, rhs = [], []
+    for si, s in enumerate(rcf.domain.sets):
+        for pos, x in enumerate(s[1:], 1):
+            rows.append([int(c.picks[si] == x) for c in functions])
+            rhs.append(rcf.probs[si][pos])
+    rows.append([1] * len(functions))
+    rhs.append(ONE)
+    solution = exact_feasible(rows, rhs)
+    if solution is None:
+        return False, None
+    return True, {c: w for c, w in zip(functions, solution) if w != 0}
+
+
+def block_marschak(rcf: RandomChoiceFunction
+                   ) -> dict[tuple[str, frozenset[str]], Fraction]:
+    """Every Block-Marschak polynomial of an RCF on a full domain.
+
+    K(x, A) = sum over every B containing A of (-1)^|B - A| rho(x, B), for
+    each nonempty A and x in A, with rho(x, {x}) = 1; keyed (x, A) by
+    symbols.  Each polynomial is summed term by term over the supersets.
+    """
+    dom = rcf.domain
+    dom.require_full("Block-Marschak polynomials")
+    prob = {}
+    for si, row in enumerate(rcf.probs):
+        members = dom.set_symbols(si)
+        prob[frozenset(members)] = dict(zip(members, row))
+    universe = frozenset(dom.alternatives)
+    found = {}
+    for size in range(1, dom.n + 1):
+        for a in map(frozenset, itertools.combinations(dom.alternatives, size)):
+            rest = sorted(universe - a)
+            for x in a:
+                total = ZERO
+                for k in range(len(rest) + 1):
+                    for extra in itertools.combinations(rest, k):
+                        b = a.union(extra)
+                        p = ONE if len(b) == 1 else prob[b][x]
+                        total += -p if k % 2 else p
+                found[(x, a)] = total
+    return found

@@ -121,6 +121,7 @@ INPUTS = {
     "model_empty_function.json": {"functions": ["aaab", {"picks": []}]},
     "model_picks_type.json": {"functions": [_explicit("aaab"), {"picks": 3}]},
     "model_sets_type.json": {"sets": 3, "functions": ["aaab"]},
+    "model_sets_empty.json": {"sets": [], "functions": ["a"]},
     "model_sets_member_type.json": {"sets": [["a", "b", "c"], 3],
                                     "functions": ["aa"]},
     "model_alternatives_type.json": {"alternatives": 3,
@@ -272,6 +273,9 @@ CASES = {
     "schema_model_sets_type": (
         ["identify", "model_sets_type.json"], 2,
         "error: model_sets_type.json: 'sets' must be a list, not int\n"),
+    "schema_model_sets_empty": (
+        ["check", "model_sets_empty.json", "--mixture"], 2,
+        "error: model_sets_empty.json: 'sets' must be a nonempty list\n"),
     "schema_model_sets_member_type": (
         ["identify", "model_sets_member_type.json"], 2,
         "error: model_sets_member_type.json: 'sets[1]' must be a list, "

@@ -24,12 +24,15 @@ from choicelattice import (
     decompose_theta,
     deterministic,
     enumerate_rational,
+    gen_random_model,
     in_delta,
+    join,
     lattice_closure,
     meet,
     satisfies_rtheta,
     theta_model,
 )
+from choicelattice import random_choice
 from choicelattice.models import theta_violation
 from choicelattice.random_choice import (
     _assert_chain_in_theta,
@@ -38,7 +41,9 @@ from choicelattice.random_choice import (
 
 from brute import (
     all_choice_functions,
+    block_marschak,
     chain_fault,
+    delta_unreduced,
     fraction_compose,
     fraction_cumulatives,
     fraction_rtheta,
@@ -295,6 +300,156 @@ def _assert_certificate(weights, model, rho):
     assert all(c in model and w > 0 for c, w in weights.items())
     assert sum(weights.values()) == 1
     assert compose(weights) == rho
+
+
+def _random_function(rng, domain):
+    return ChoiceFunction(domain, tuple(rng.choice(s) for s in domain.sets))
+
+
+def _mixture(rng, functions):
+    raw = [rng.randint(1, 5) for _ in functions]
+    return compose({c: F(w, sum(raw)) for c, w in zip(functions, raw)})
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Every system that ``in_delta`` hands to the simplex, as (rows, rhs)."""
+    calls = []
+    solve = random_choice.exact_feasible
+
+    def recording(rows, rhs):
+        calls.append((rows, rhs))
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(random_choice, "exact_feasible", recording)
+    return calls
+
+
+def _delta_models(rng, n):
+    """The rational model, theta at n <= 4, lattice closures of three random
+    functions under global and per-set orders, and random functions."""
+    dom = ChoiceDomain.full("abcde"[:n])
+    models = [enumerate_rational(dom)]
+    if n <= 4:
+        models.append(theta_model(dom, dom.alternatives))
+    for per_set in (False, True, False, True):
+        gens = {_random_function(rng, dom).picks for _ in range(3)}
+        models.append(lattice_closure(ChoiceModel.from_picks(dom, gens),
+                                      random_ordering(rng, dom, per_set)))
+    models.append(gen_random_model(n, dom, 4 ** (n - 1)))
+    return dom, models
+
+
+class TestReducedDelta:
+    """``in_delta`` solves on the RCF's support; ``delta_unreduced`` solves
+    the full system and must give the same verdict."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_verdict_equals_the_unreduced_system(self, n, lp_calls):
+        rng = random.Random(1449 + n)
+        dom, models = _delta_models(rng, n)
+        seen = {"yes": 0, "yes, a first member unsupported": 0,
+                "no by coverage": 0, "no by the simplex": 0}
+        for model in models:
+            queries = 3 if len(model) > 200 else 6
+            for q in range(queries):
+                chosen = rng.sample(model.functions, min(rng.randint(2, 5), len(model)))
+                if q % 3 == 1:
+                    other = _random_function(rng, dom)
+                elif q % 3 == 2:
+                    # picks of two members crossed set by set: every entry
+                    # of the RCF is covered, so the simplex decides
+                    other = ChoiceFunction(dom, tuple(
+                        map(rng.choice, zip(chosen[0].picks, chosen[1].picks))))
+                if q % 3 and other not in chosen:
+                    chosen[-1] = other
+                rho = _mixture(rng, chosen)
+                del lp_calls[:]
+                ok, weights = in_delta(rho, model)
+                assert ok is delta_unreduced(rho, model)[0]
+                if ok:
+                    _assert_certificate(weights, model, rho)
+                    seen["yes"] += 1
+                    if any(row[0] == 0 for row in rho.probs):
+                        seen["yes, a first member unsupported"] += 1
+                else:
+                    assert weights is None
+                    seen["no by the simplex" if lp_calls else "no by coverage"] += 1
+        assert min(seen.values()) >= 3, seen
+
+    def test_point_mass_keeps_one_column(self, dom4, lp_calls):
+        tm = theta_model(dom4, tuple("abcd"))
+        for c in tm.functions[::50]:
+            del lp_calls[:]
+            assert in_delta(deterministic(c), tm) == (True, {c: 1})
+            [(rows, rhs)] = lp_calls
+            assert rows == [[1]] and rhs == [1]
+
+    def test_uncovered_entry_answers_no_without_the_simplex(self, dom3, lp_calls):
+        # aaac puts mass on c at {b, c}; abab, the only other member, picks
+        # b at {a, b}, which has no mass, so no kept column picks c there
+        model = ChoiceModel.from_strings(dom3, ["aaab", "abab"])
+        rho = compose({fn(dom3, "aaab"): F(1, 2), fn(dom3, "aaac"): F(1, 2)})
+        assert in_delta(rho, model) == (False, None)
+        assert lp_calls == []
+        assert delta_unreduced(rho, model) == (False, None)
+
+    def test_rows_skip_the_first_supported_member(self, dom3, lp_calls):
+        # no mass on a anywhere: one row at {a, b, c} (for c) and one at
+        # {b, c} (for c), the sets with a single supported member give none
+        rational = enumerate_rational(dom3)
+        rho = compose({fn(dom3, "bbcb"): F(1, 3), fn(dom3, "cbcc"): F(2, 3)})
+        ok, weights = in_delta(rho, rational)
+        assert ok
+        _assert_certificate(weights, rational, rho)
+        [(rows, rhs)] = lp_calls
+        assert rhs == [2, 2, 3] and all(type(b) is int for b in rhs)
+        assert len(rows[0]) == 2
+
+    def test_mixture_over_2000_random_functions(self, dom4):
+        # checked by its certificate only: the unreduced system takes
+        # seconds; other mixtures over this model take up to 10 s (the
+        # simplex on the columns left), this one about 0.2 s
+        model = gen_random_model(0, dom4, 2000)
+        rng = random.Random(5)
+        rho = _mixture(rng, rng.sample(model.functions, 5))
+        ok, weights = in_delta(rho, model)
+        assert ok
+        _assert_certificate(weights, model, rho)
+
+
+class TestRandomUtility:
+    """Falmagne (1978): on a full domain, an RCF is a mixture of rational
+    functions exactly when every Block-Marschak polynomial is nonnegative."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_rational_mixtures_are_the_nonnegative_polynomials(self, n):
+        dom = ChoiceDomain.full("abcde"[:n])
+        rational = enumerate_rational(dom)
+        rng = random.Random(1978 + n)
+        answers = []
+        for trial in range(12):
+            chosen = rng.sample(rational.functions, rng.randint(2, 4))
+            if trial % 2:
+                chosen[-1] = self._theta_member(rng, dom, rational)
+            rho = _mixture(rng, chosen)
+            ok = in_delta(rho, rational)[0]
+            assert ok is all(k >= 0 for k in block_marschak(rho).values())
+            answers.append(ok)
+        assert answers.count(True) >= 3 and answers.count(False) >= 3
+
+    @staticmethod
+    def _theta_member(rng, dom, rational):
+        """A member of theta(>) outside the rational model: the join or meet
+        of two rational functions, under a random global order >."""
+        while True:
+            order = rng.sample(dom.alternatives, dom.n)
+            ordering = PrimitiveOrderings.from_global(dom, order)
+            c1, c2 = rng.sample(rational.functions, 2)
+            c = rng.choice((join, meet))(c1, c2, ordering)
+            if c not in rational:
+                assert theta_violation(c.picks, dom, ordering.global_rank) is None
+                return c
 
 
 class TestRTheta:
