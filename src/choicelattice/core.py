@@ -114,6 +114,11 @@ class ChoiceDomain:
         return {s: i for i, s in enumerate(self.sets)}
 
     @cached_property
+    def set_members(self) -> tuple[frozenset[int], ...]:
+        """Each choice set as a frozenset, for membership tests in C."""
+        return tuple(map(frozenset, self.sets))
+
+    @cached_property
     def removals(self) -> tuple[tuple[int, int, int], ...]:
         """Every removal (S, x, S \\ {x}) that stays inside the domain.
 
@@ -358,12 +363,17 @@ def _packed_ranks(ordering: PrimitiveOrderings) -> PackedRanks:
 
 @dataclass(frozen=True)
 class ChoiceFunction:
-    """A selection of one member from every choice set of the domain."""
+    """A selection of one member from every choice set of the domain.
+
+    ``picks`` is stored as a tuple, whatever sequence it was given as.
+    """
 
     domain: ChoiceDomain = field(hash=False)
     picks: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if type(self.picks) is not tuple:
+            object.__setattr__(self, "picks", tuple(self.picks))
         sets = self.domain.sets
         if len(self.picks) != len(sets):
             raise ChoiceError("a choice function must pick from every set")
@@ -375,6 +385,37 @@ class ChoiceFunction:
                 raise ChoiceError(
                     f"pick {pick!r} is not a member of choice set "
                     f"{self.domain.set_symbols(sets.index(s))!r}")
+
+    @classmethod
+    def many(cls, domain: ChoiceDomain,
+             rows: Iterable[tuple[int, ...]]) -> list["ChoiceFunction"]:
+        """``[cls(domain, p) for p in rows]``, checked a set at a time.
+
+        When every row is a tuple with one pick per set, each set's column
+        of picks is checked against the set in one ``issuperset`` call, and
+        the instances are built without ``__init__``.  Otherwise, or when a
+        column holds a non-member, the rows go one at a time through the
+        constructor, which raises at the first faulty row with its message.
+        """
+        rows = list(rows)
+        try:
+            valid = (set(map(type, rows)) <= {tuple}
+                     and set(map(len, rows)) <= {len(domain.sets)}
+                     and all(map(frozenset.issuperset, domain.set_members,
+                                 zip(*rows))))
+        except TypeError:  # an unhashable pick
+            valid = False
+        if not valid:
+            return [cls(domain, p) for p in rows]
+        new = object.__new__
+        out = []
+        for p in rows:
+            c = new(cls)
+            fields = c.__dict__
+            fields["domain"] = domain
+            fields["picks"] = p
+            out.append(c)
+        return out
 
     @classmethod
     def from_symbols(cls, domain: ChoiceDomain,

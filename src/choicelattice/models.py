@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .core import (
@@ -42,15 +43,16 @@ class ChoiceModel:
     def __post_init__(self) -> None:
         if not self.functions:
             raise ChoiceError("a choice model must be nonempty")
+        dom = self.domain
         picks = []
         for c in self.functions:
-            if c.domain != self.domain:
+            if c.domain is not dom and c.domain != dom:
                 raise DomainMismatchError("model members live on different domains")
             picks.append(c.picks)
         members = frozenset(picks)
         if len(members) != len(picks):
             raise ChoiceError("duplicate choice functions in model")
-        ordered = tuple(sorted(self.functions, key=lambda c: c.picks))
+        ordered = tuple(sorted(self.functions, key=attrgetter("picks")))
         object.__setattr__(self, "functions", ordered)
         object.__setattr__(self, "_members", members)
 
@@ -71,7 +73,7 @@ class ChoiceModel:
     @classmethod
     def from_picks(cls, domain: ChoiceDomain,
                    picks: Iterable[tuple[int, ...]]) -> "ChoiceModel":
-        return cls(domain, tuple(ChoiceFunction(domain, p) for p in set(picks)))
+        return cls(domain, tuple(ChoiceFunction.many(domain, set(picks))))
 
     def picks_set(self) -> frozenset[tuple[int, ...]]:
         return self._members

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, islice
-from operator import ne
+from itertools import compress
+from operator import ne, sub
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -55,6 +55,13 @@ class RandomChoiceFunction:
 
     ``probs[si]`` is aligned with the ascending members of ``domain.sets[si]``.
     Entries must be ``int`` or ``Fraction``; ints are stored as Fractions.
+
+    The integer view is built here, once, from the rows the checks already
+    scale: ``_scaled`` is (D, units), with D the lcm of every denominator
+    and ``units[si]`` the row ``probs[si]`` times D, as ``int``s.  The sweep,
+    the random-axiom check, ``cumulative`` and ``in_delta`` read it rather
+    than scale the RCF again.  Like ``ChoiceModel``'s member set, it is an
+    attribute, not a field, so equality and hashing do not see it.
     """
 
     domain: ChoiceDomain = field(hash=False)
@@ -64,22 +71,27 @@ class RandomChoiceFunction:
         dom = self.domain
         if len(self.probs) != len(dom.sets):
             raise ChoiceError("one probability row per choice set is required")
-        rows = []
+        rows, scaled = [], []
         for si, (s, row) in enumerate(zip(dom.sets, self.probs)):
             if len(row) != len(s):
                 raise ChoiceError("one probability per set member is required")
             if not all(type(p) is Fraction for p in row):
                 what = f"probability over {dom.set_symbols(si)!r}"
                 row = tuple(_exact(p, what) for p in row)
-            if any(p.numerator < 0 for p in row):
-                raise ChoiceError("probabilities must be nonnegative")
             common, units = _over_lcm(row)
+            if min(units) < 0:
+                raise ChoiceError("probabilities must be nonnegative")
             if sum(units) != common:
                 raise ChoiceError(
                     f"probabilities over {dom.set_symbols(si)!r} "
                     f"sum to {sum(row)}, not 1")
             rows.append(tuple(row))
+            scaled.append((common, units))
+        common = math.lcm(*(c for c, _ in scaled))
         object.__setattr__(self, "probs", tuple(rows))
+        object.__setattr__(self, "_scaled", (common, tuple(
+            tuple([u * (common // c) for u in units]) if c != common
+            else tuple(units) for c, units in scaled)))
 
     @classmethod
     def from_table(cls, domain: ChoiceDomain,
@@ -141,10 +153,10 @@ class ProgressiveRepresentation:
     """Positive weights on a strictly decreasing chain of choice functions.
 
     Weights must be ``int`` or ``Fraction``; ints are stored as Fractions.
-    The weights must sum to one: each is scaled to an ``int`` over L, the
-    lcm of their denominators, and the ints must add up to L, as in
-    ``compose``.  The chain itself is checked where it is built
-    (``decompose_progressive`` and ``decompose_theta``).
+    Each weight is scaled to an ``int`` over L, the lcm of their
+    denominators: every ``int`` must be positive and together they must add
+    up to L, as in ``compose``.  The chain itself is checked where it is
+    built (``decompose_progressive`` and ``decompose_theta``).
     """
 
     components: tuple[tuple[Fraction, ChoiceFunction], ...]
@@ -154,9 +166,9 @@ class ProgressiveRepresentation:
             raise ChoiceError("a representation needs at least one component")
         object.__setattr__(self, "components", tuple(
             (_exact(w, "component weight"), c) for w, c in self.components))
-        if any(w <= 0 for w, _ in self.components):
-            raise ChoiceError("component weights must be positive")
         common, units = _over_lcm(self.weights())
+        if min(units) <= 0:
+            raise ChoiceError("component weights must be positive")
         if sum(units) != common:
             raise ChoiceError("component weights must sum to one")
 
@@ -213,26 +225,19 @@ def cumulative(rcf: RandomChoiceFunction,
     """Cumulative form: value at (y, S) sums the weight strictly above y."""
     dom = rcf.domain
     grank = order_ranks(dom.order_index(global_order), dom.n)
-    common, units = _scaled(rcf)
+    common, units = rcf._scaled
     strict, _ = _cumulatives(dom.sets, units, grank)
     return CumulativeRCF(dom, tuple(
         tuple(Fraction(v, common) for v in row) for row in strict))
 
 
-def _scaled(rcf: RandomChoiceFunction) -> tuple[int, list[list[int]]]:
-    """D, the lcm of the RCF's denominators, and each probability times D."""
-    common, flat = _over_lcm([p for row in rcf.probs for p in row])
-    units = iter(flat)
-    return common, [list(islice(units, len(row))) for row in rcf.probs]
-
-
-def _cumulatives(sets: Sequence[tuple[int, ...]], units: list[list[int]],
+def _cumulatives(sets: Sequence[tuple[int, ...]], units: Sequence[Sequence[int]],
                  grank: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
     """Per (set, member): mass strictly above, and mass at or above.
 
-    ``units`` are the probabilities scaled by D (``_scaled``), so both
-    results are ``int`` multiples of 1/D.  Comparisons between them need no
-    division, and ``cumulative`` divides each entry by D once.
+    ``units`` are the probabilities scaled by D (the RCF's ``_scaled``),
+    so both results are ``int`` multiples of 1/D.  Comparisons between them
+    need no division, and ``cumulative`` divides each entry by D once.
     """
     strict, weak = [], []
     for s, row in zip(sets, units):
@@ -260,27 +265,39 @@ def decompose_progressive(rcf: RandomChoiceFunction,
     the uniform draw of the randomized description: the component weights
     are exactly the segment lengths.
 
-    The sweep runs on integers.  Every probability is scaled once by D, the
-    lcm of the RCF's denominators, so the endpoints are ``int``s in (0, D].
-    Each endpoint is a breakpoint, so a set's interval covers the run of
-    segments that ends at its endpoint's place among the sorted
-    breakpoints, and each set's column of picks is filled one run per
-    member: O(sets x (members + breakpoints)) in all, the breakpoints part
-    as list repetition.  A weight becomes the ``Fraction`` w / D only when
-    the representation is built.  The chain is then checked by
-    ``_assert_decreasing_chain``.
+    The sweep runs on integers: the RCF's stored view holds every
+    probability scaled by D, the lcm of its denominators, so the endpoints
+    are ``int``s in (0, D].  Each endpoint is a breakpoint, so a set's
+    interval covers the run of segments that ends at its endpoint's place
+    among the sorted breakpoints, and each set's column of picks is filled
+    one run per member: O(sets x (members + breakpoints)) in all, the
+    breakpoints part as list repetition.  Each segment is one component,
+    with no merge, because each breakpoint below D ends some set's interval
+    (``_sweep``).  A weight becomes the ``Fraction`` w / D only when the
+    representation is built.  Every pick is checked for membership as the
+    components are built, one set's column at a time
+    (``ChoiceFunction.many``), and the chain is then checked by
+    ``_assert_decreasing_chain``, which also refuses two equal neighbours.
     """
     dom = rcf.domain
     if ordering.domain != dom:
         raise DomainMismatchError("orderings live on a different domain")
-    rep = _sweep(dom, ordering, *_scaled(rcf))
+    rep = _sweep(dom, ordering, *rcf._scaled)
     _assert_decreasing_chain([c.picks for _, c in rep.components], ordering.rank)
     return rep
 
 
 def _sweep(dom: ChoiceDomain, ordering: PrimitiveOrderings, common: int,
-           units: list[list[int]]) -> ProgressiveRepresentation:
-    """The sweep of ``decompose_progressive`` on probabilities scaled by D."""
+           units: Sequence[Sequence[int]]) -> ProgressiveRepresentation:
+    """The sweep of ``decompose_progressive`` on probabilities scaled by D.
+
+    No two consecutive segments pick alike, so each is its own component:
+    a breakpoint r < D is the upper end of some set's interval, and on the
+    segment after r that set picks the member of its next interval, which
+    is another alternative.  ``_assert_decreasing_chain`` still refuses an
+    equal pair.  ``ChoiceFunction.many`` checks each set's column of picks
+    for membership as it builds the components.
+    """
     # Per set, best first: each positive-weight member and the upper end of
     # its interval, in units of 1/D.  Every set's last end is D.
     uppers: list[list[int]] = []
@@ -309,16 +326,10 @@ def _sweep(dom: ChoiceDomain, ordering: PrimitiveOrderings, common: int,
         for end, x in zip(ends, xs):
             column += [x] * (count[end] - len(column))
         columns.append(column)
-    components: list[list] = []  # [units, picks]
-    prev = 0
-    for r, picks in zip(breakpoints, zip(*columns)):
-        if components and components[-1][1] == picks:
-            components[-1][0] += r - prev
-        else:
-            components.append([r - prev, picks])
-        prev = r
-    return ProgressiveRepresentation(tuple(
-        (Fraction(w, common), ChoiceFunction(dom, p)) for w, p in components))
+    lengths = map(sub, breakpoints, [0] + breakpoints)
+    return ProgressiveRepresentation(tuple(zip(
+        [Fraction(w, common) for w in lengths],
+        ChoiceFunction.many(dom, zip(*columns)))))
 
 
 def _assert_decreasing_chain(chain: Sequence[tuple[int, ...]],
@@ -350,12 +361,13 @@ def in_delta(rcf: RandomChoiceFunction, model: ChoiceModel
              ) -> tuple[bool, dict[ChoiceFunction, Fraction] | None]:
     """Exact feasibility of representing the RCF as a mixture over the model.
 
-    The system is solved on the RCF's support.  The RCF is read once in
-    units of 1/D, D the lcm of its denominators (``_scaled``), as an ``int``
-    mass per set and alternative.  A model function with weight w > 0 puts
-    w on its pick at every set, so one that picks a zero-mass alternative
-    anywhere must have weight 0: only the functions whose picks all have
-    positive mass become columns, in the model's order.  If no function is
+    The system is solved on the RCF's support.  The RCF's stored view
+    (``_scaled``) gives it in units of 1/D, D the lcm of its denominators,
+    as an ``int`` mass per set and alternative.  A model function with
+    weight w > 0 puts w on its pick at every set, so one that picks a
+    zero-mass alternative anywhere must have weight 0: only the functions
+    whose picks all have positive mass become columns, in the model's
+    order.  If no function is
     kept, or some positive entry (S, x) is picked by no kept function, the
     answer is no with no LP.
 
@@ -381,7 +393,7 @@ def in_delta(rcf: RandomChoiceFunction, model: ChoiceModel
     if len(model) > DELTA_GUARD:
         raise GuardError(f"in_delta: {len(model):,} model functions exceed "
                          f"the guard of {DELTA_GUARD:,}")
-    common, units = _scaled(rcf)
+    common, units = rcf._scaled
     mass = [[0] * dom.n for _ in dom.sets]
     for row, s, u in zip(mass, dom.sets, units):
         for x, v in zip(s, u):
@@ -436,11 +448,11 @@ def satisfies_rtheta(rcf: RandomChoiceFunction, global_order: Sequence[str]
     dom = rcf.domain
     dom.require_full("the random theta axioms")
     grank = order_ranks(dom.order_index(global_order), dom.n)
-    witness = _rtheta_witness(dom, _scaled(rcf)[1], grank)
+    witness = _rtheta_witness(dom, rcf._scaled[1], grank)
     return witness is None, witness
 
 
-def _rtheta_witness(dom: ChoiceDomain, units: list[list[int]],
+def _rtheta_witness(dom: ChoiceDomain, units: Sequence[Sequence[int]],
                     grank: Sequence[int]) -> RThetaViolation | None:
     """The first failed random-axiom comparison on scaled probabilities."""
     strict, weak = _cumulatives(dom.sets, units, grank)
@@ -460,8 +472,8 @@ def decompose_theta(rcf: RandomChoiceFunction,
                     global_order: Sequence[str]) -> ProgressiveRepresentation:
     """Progressive decomposition guaranteed to land in the minimal extension.
 
-    Requires the cumulative axioms to hold.  The RCF is scaled to ``int``s
-    once, for the axiom check and the sweep alike.  The chain is checked
+    Requires the cumulative axioms to hold.  The axiom check and the sweep
+    both read the RCF's stored ``int`` view.  The chain is checked
     pair by pair (``_assert_decreasing_chain``), and every component against
     the deterministic axioms (``_assert_chain_in_theta``): the first in
     full, each later one at the removals that read a set where its pick
@@ -472,7 +484,7 @@ def decompose_theta(rcf: RandomChoiceFunction,
     dom.require_full("the random theta axioms")
     ordering = PrimitiveOrderings.from_global(dom, global_order)
     grank = ordering.global_rank
-    common, units = _scaled(rcf)
+    common, units = rcf._scaled
     witness = _rtheta_witness(dom, units, grank)
     if witness is not None:
         raise ChoiceError(

@@ -105,6 +105,54 @@ def test_choice_function_validation(dom3):
     assert c.pick(["b", "c"]) == "b"
 
 
+def test_picks_are_stored_as_a_tuple(dom3):
+    c = ChoiceFunction(dom3, [0, 0, 0, 1])
+    assert type(c.picks) is tuple
+    assert c == fn(dom3, "aaab") and hash(c) == hash(fn(dom3, "aaab"))
+    assert ChoiceModel.from_functions([c]).strings() == ("aaab",)
+
+
+def _message(build) -> str:
+    with pytest.raises(ChoiceError) as info:
+        build()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_bulk_construction_equals_one_at_a_time(n):
+    domain = ChoiceDomain.full("abcde"[:n])
+    rng = random.Random(n)
+    smaller = [si for si, s in enumerate(domain.sets) if len(s) < n]
+    for _ in range(20):
+        rows = [tuple(rng.choice(s) for s in domain.sets)
+                for _ in range(rng.randint(1, 8))]
+        one = [ChoiceFunction(domain, p) for p in rows]
+        many = ChoiceFunction.many(domain, rows)
+        assert many == one
+        assert [hash(c) for c in many] == [hash(c) for c in one]
+        assert [c.picks for c in many] == rows
+        assert ChoiceFunction.many(domain, map(list, rows)) == one
+        assert (ChoiceModel.from_picks(domain, rows)
+                == ChoiceModel.from_functions(one))
+        # a short row, a long row, a non-member pick, an unknown alternative
+        row = rows[0]
+        si = rng.choice(smaller)
+        outside = next(x for x in range(n) if x not in domain.sets[si])
+        faults = [row[:-1], row + row[:1], row[:si] + (outside,) + row[si + 1:],
+                  row[:si] + (n,) + row[si + 1:]]
+        for bad in faults:
+            expected = _message(lambda: ChoiceFunction(domain, bad))
+            assert _message(
+                lambda: ChoiceModel.from_picks(domain, rows + [bad])) == expected
+        # several faults among valid rows, one of them an unhashable pick:
+        # the first one is reported
+        faults.append(row[:si] + ([row[si]],) + row[si + 1:])
+        mixed = rows + rng.sample(faults, 3)
+        rng.shuffle(mixed)
+        assert (_message(lambda: ChoiceFunction.many(domain, mixed))
+                == _message(lambda: [ChoiceFunction(domain, p) for p in mixed]))
+
+
 def test_compare_examples(dom3, ord3):
     assert compare(fn(dom3, "aaab"), fn(dom3, "abab"), ord3) is Comparison.DOMINATES
     assert compare(fn(dom3, "abab"), fn(dom3, "aaac"), ord3) is Comparison.INCOMPARABLE

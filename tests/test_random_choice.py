@@ -98,6 +98,34 @@ class TestCompose:
             RandomChoiceFunction(dom3, tuple(rows))
 
 
+class TestSignChecks:
+    def test_component_weights_must_be_positive(self, dom3):
+        functions = (fn(dom3, "aaab"), fn(dom3, "bbcc"))
+        for weights in ((0, 1), (F(0), F(1)), (-1, 2), (F(3, 2), F(-1, 2))):
+            with pytest.raises(ChoiceError,
+                               match="^component weights must be positive$"):
+                ProgressiveRepresentation(tuple(zip(weights, functions)))
+
+    def test_compose_weights_must_be_nonnegative(self, dom3):
+        for weights in ((F(3, 2), F(-1, 2)), (2, -1)):
+            with pytest.raises(ChoiceError,
+                               match="^weights must be nonnegative$"):
+                compose(dict(zip((fn(dom3, "aaab"), fn(dom3, "abab")), weights)))
+
+    def test_probabilities_must_be_nonnegative(self, dom3):
+        rows = [tuple(F(1, len(s)) for _ in s) for s in dom3.sets]
+        for bad in ((F(3, 2), F(-1, 2)), (-1, 2)):
+            rows[2] = bad
+            with pytest.raises(ChoiceError,
+                               match="^probabilities must be nonnegative$"):
+                RandomChoiceFunction(dom3, tuple(rows))
+        # an earlier row that does not sum to one is reported first
+        rows[1] = (F(1, 2), F(1, 3))
+        with pytest.raises(ChoiceError, match=r"^probabilities over "
+                           r"\('a', 'b'\) sum to 5/6, not 1$"):
+            RandomChoiceFunction(dom3, tuple(rows))
+
+
 class TestExactEntries:
     def test_ints_become_fractions(self, dom3):
         rows = tuple((1,) + (0,) * (len(s) - 1) for s in dom3.sets)
@@ -577,6 +605,15 @@ class TestIntegerRoute:
                    for rho, _ in cases]
         assert sum(d > 2 ** 64 for d in commons) >= 5
         assert any(p == 0 for rho, _ in cases for row in rho.probs for p in row)
+
+    def test_stored_view_is_the_rcf_times_d(self, cases):
+        for rho, _ in cases:
+            common, units = rho._scaled
+            assert common == math.lcm(*(p.denominator
+                                        for row in rho.probs for p in row))
+            assert units == tuple(tuple(p * common for p in row)
+                                  for row in rho.probs)
+            assert all(type(u) is int for row in units for u in row)
 
     def test_sweep_equals_fraction_sweep(self, cases):
         rng = random.Random(7)
