@@ -119,6 +119,20 @@ class ChoiceDomain:
         return tuple(map(frozenset, self.sets))
 
     @cached_property
+    def member_slots(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per alternative x, each (set position, slot of x in that set).
+
+        A slot is the member's place in the ascending set.  One walk of an
+        order of the alternatives over this table lists every set's slots
+        in that order, with no per-set sort.
+        """
+        table: list[list[tuple[int, int]]] = [[] for _ in self.alternatives]
+        for si, s in enumerate(self.sets):
+            for i, x in enumerate(s):
+                table[x].append((si, i))
+        return tuple(map(tuple, table))
+
+    @cached_property
     def removals(self) -> tuple[tuple[int, int, int], ...]:
         """Every removal (S, x, S \\ {x}) that stays inside the domain.
 

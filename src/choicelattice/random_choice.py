@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
-from operator import ne, sub
+from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -222,30 +221,59 @@ def deterministic(c: ChoiceFunction) -> RandomChoiceFunction:
 
 def cumulative(rcf: RandomChoiceFunction,
                global_order: Sequence[str]) -> CumulativeRCF:
-    """Cumulative form: value at (y, S) sums the weight strictly above y."""
+    """Cumulative form: value at (y, S) sums the weight strictly above y.
+
+    Each set's members are read in rank order from one walk of the order
+    (``_slots_in_order``), so any domain will do, full or not.
+    """
     dom = rcf.domain
-    grank = order_ranks(dom.order_index(global_order), dom.n)
     common, units = rcf._scaled
-    strict, _ = _cumulatives(dom.sets, units, grank)
+    slots = _slots_in_order(dom, dom.order_index(global_order))
+    strict, _ = _cumulatives(units, slots)
     return CumulativeRCF(dom, tuple(
         tuple(Fraction(v, common) for v in row) for row in strict))
 
 
-def _cumulatives(sets: Sequence[tuple[int, ...]], units: Sequence[Sequence[int]],
-                 grank: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
+def _slots_in_order(dom: ChoiceDomain, order: Sequence[int]) -> list[list[int]]:
+    """Each set's member slots, best first under a global order.
+
+    ``order`` holds alternative indices, best first.  One walk of it over
+    ``ChoiceDomain.member_slots`` appends each slot to its set's list, so
+    the lists come out ranked with no per-set sort.
+    """
+    slots: list[list[int]] = [[] for _ in dom.sets]
+    table = dom.member_slots
+    for x in order:
+        for si, i in table[x]:
+            slots[si].append(i)
+    return slots
+
+
+def _slots_in_rankings(dom: ChoiceDomain,
+                       ordering: PrimitiveOrderings) -> list[list[int]]:
+    """Each set's member slots, best first under its ranking in
+    ``ordering.per_set``."""
+    return [list(map(s.index, ranking))
+            for s, ranking in zip(dom.sets, ordering.per_set)]
+
+
+def _cumulatives(units: Sequence[Sequence[int]], slots: Sequence[Sequence[int]]
+                 ) -> tuple[list[list[int]], list[list[int]]]:
     """Per (set, member): mass strictly above, and mass at or above.
 
     ``units`` are the probabilities scaled by D (the RCF's ``_scaled``),
     so both results are ``int`` multiples of 1/D.  Comparisons between them
     need no division, and ``cumulative`` divides each entry by D once.
+    ``slots`` lists each set's member slots best first
+    (``_slots_in_order``), so one running sum per set reads the members in
+    rank order, with no sort here.
     """
     strict, weak = [], []
-    for s, row in zip(sets, units):
-        by_rank = sorted(range(len(s)), key=lambda i: grank[s[i]])
-        up = [0] * len(s)
-        at = [0] * len(s)
+    for order, row in zip(slots, units):
+        up = [0] * len(row)
+        at = [0] * len(row)
         acc = 0
-        for i in by_rank:
+        for i in order:
             up[i] = acc
             acc += row[i]
             at[i] = acc
@@ -267,91 +295,106 @@ def decompose_progressive(rcf: RandomChoiceFunction,
 
     The sweep runs on integers: the RCF's stored view holds every
     probability scaled by D, the lcm of its denominators, so the endpoints
-    are ``int``s in (0, D].  Each endpoint is a breakpoint, so a set's
-    interval covers the run of segments that ends at its endpoint's place
-    among the sorted breakpoints, and each set's column of picks is filled
-    one run per member: O(sets x (members + breakpoints)) in all, the
-    breakpoints part as list repetition.  Each segment is one component,
-    with no merge, because each breakpoint below D ends some set's interval
-    (``_sweep``).  A weight becomes the ``Fraction`` w / D only when the
-    representation is built.  Every pick is checked for membership as the
-    components are built, one set's column at a time
-    (``ChoiceFunction.many``), and the chain is then checked by
-    ``_assert_decreasing_chain``, which also refuses two equal neighbours.
+    are ``int``s in (0, D].  Each set's members are read best first, in the
+    slot order of ``_slots_in_rankings``.  The sweep emits the chain as its
+    top row and one change list per breakpoint below D: the sets whose
+    interval ends there, which are the sets whose pick the next component
+    changes (``_sweep``).  Each segment is one component, with no merge.
+    A weight becomes the ``Fraction`` w / D only when the representation is
+    built.  Every pick is checked for membership as the components are
+    built, one set's column at a time (``ChoiceFunction.many``), and
+    ``_assert_decreasing_chain`` checks each step at its listed sets.
     """
     dom = rcf.domain
     if ordering.domain != dom:
         raise DomainMismatchError("orderings live on a different domain")
-    rep = _sweep(dom, ordering, *rcf._scaled)
-    _assert_decreasing_chain([c.picks for _, c in rep.components], ordering.rank)
+    rep, chain, changes = _sweep(dom, _slots_in_rankings(dom, ordering),
+                                 *rcf._scaled)
+    _assert_decreasing_chain(chain, ordering.rank, changes)
     return rep
 
 
-def _sweep(dom: ChoiceDomain, ordering: PrimitiveOrderings, common: int,
-           units: Sequence[Sequence[int]]) -> ProgressiveRepresentation:
+def _sweep(dom: ChoiceDomain, slots: Sequence[Sequence[int]], common: int,
+           units: Sequence[Sequence[int]]
+           ) -> tuple[ProgressiveRepresentation, list[tuple[int, ...]],
+                      list[list[int]]]:
     """The sweep of ``decompose_progressive`` on probabilities scaled by D.
 
-    No two consecutive segments pick alike, so each is its own component:
-    a breakpoint r < D is the upper end of some set's interval, and on the
-    segment after r that set picks the member of its next interval, which
-    is another alternative.  ``_assert_decreasing_chain`` still refuses an
-    equal pair.  ``ChoiceFunction.many`` checks each set's column of picks
-    for membership as it builds the components.
+    ``slots`` lists each set's member slots best first.  Per set, the
+    positive-mass members are laid out best first, each with the upper end
+    of its interval, in units of 1/D; every end below D files the set under
+    that breakpoint.  The top row holds each set's best positive-mass
+    member.  At each breakpoint, in ascending order, the sets filed there
+    (in ascending position) advance to their next member, and the row is
+    copied once, as a tuple.  Returns the representation, its rows and, per
+    consecutive pair of rows, the list of set positions that changed.
+
+    Rows are built from the lists, so two consecutive rows differ at
+    exactly the listed sets, and each list is nonempty: a breakpoint is
+    filed only by a set whose interval ends there.
+    ``_assert_decreasing_chain`` still checks that each list is nonempty
+    and that every listed pick gets strictly worse; it does not re-derive
+    that the other sets kept their picks.  ``ChoiceFunction.many`` checks
+    each set's column of picks for membership as it builds the components.
     """
-    # Per set, best first: each positive-weight member and the upper end of
-    # its interval, in units of 1/D.  Every set's last end is D.
-    uppers: list[list[int]] = []
-    members: list[list[int]] = []
-    cuts: set[int] = set()
-    for s, ranking, row in zip(dom.sets, ordering.per_set, units):
-        weight = dict(zip(s, row))
+    top: list[int] = []
+    later: list[list[int]] = []  # per set, its next members, worst first
+    filed: dict[int, list[int]] = {}
+    for si, (s, order, row) in enumerate(zip(dom.sets, slots, units)):
+        xs = []
         acc = 0
-        ends, xs = [], []
-        for x in ranking:
-            if weight[x]:
-                acc += weight[x]
-                ends.append(acc)
-                xs.append(x)
-        cuts.update(ends)
-        uppers.append(ends)
-        members.append(xs)
-    breakpoints = sorted(cuts)
-    # Per set, its pick on each segment: the segments up to and including
-    # the one that ends at an interval's upper end pick that interval's
-    # member, so each interval fills a run of the column in one step.
-    count = {r: i for i, r in enumerate(breakpoints, 1)}
-    columns = []
-    for ends, xs in zip(uppers, members):
-        column: list[int] = []
-        for end, x in zip(ends, xs):
-            column += [x] * (count[end] - len(column))
-        columns.append(column)
-    lengths = map(sub, breakpoints, [0] + breakpoints)
-    return ProgressiveRepresentation(tuple(zip(
+        for i in order:
+            u = row[i]
+            if u:
+                if acc:  # the interval before this one ends at acc
+                    if acc in filed:
+                        filed[acc].append(si)
+                    else:
+                        filed[acc] = [si]
+                acc += u
+                xs.append(s[i])
+        xs.reverse()
+        top.append(xs.pop())
+        later.append(xs)
+    breakpoints = sorted(filed)
+    changes = [filed[r] for r in breakpoints]
+    rows = [tuple(top)]
+    for changed in changes:
+        for si in changed:
+            top[si] = later[si].pop()
+        rows.append(tuple(top))
+    lengths = map(sub, breakpoints + [common], [0] + breakpoints)
+    rep = ProgressiveRepresentation(tuple(zip(
         [Fraction(w, common) for w in lengths],
-        ChoiceFunction.many(dom, zip(*columns)))))
+        ChoiceFunction.many(dom, rows))))
+    return rep, rows, changes
 
 
 def _assert_decreasing_chain(chain: Sequence[tuple[int, ...]],
-                             rank: Sequence[Sequence[int]]) -> list[list[int]]:
+                             rank: Sequence[Sequence[int]],
+                             changes: Sequence[Sequence[int]]) -> None:
     """Check that each pick vector strictly dominates the next one.
 
-    ``rank`` is ``PrimitiveOrderings.rank``.  One walk over each consecutive
-    pair collects the set positions where the picks differ; the pair passes
-    when that list is nonempty and the pick at every listed set moves
-    strictly worse, which is ``compare(...) is Comparison.DOMINATES``.  Returns
-    the lists, one per consecutive pair, for ``_assert_chain_in_theta``.
+    ``changes[k]`` lists the set positions where ``chain[k + 1]`` differs
+    from ``chain[k]``, as ``_sweep`` emits them.  ``rank[s][x]`` orders each
+    set's members as its ranking does: ``PrimitiveOrderings.rank``, or a
+    global rank repeated per set.  A pair passes when its list is nonempty
+    and the pick at every listed set moves strictly worse, so a listed set
+    whose pick did not change is refused.  Only the listed sets are read:
+    that the other sets kept their picks is not re-derived here, since the
+    sweep builds each row from the one before by changing the listed sets
+    only.  With the lists of every differing set, this is
+    ``compare(...) is Comparison.DOMINATES`` for each pair.
     """
-    positions = range(len(chain[0]))
-    changes = []
-    for k, (p1, p2) in enumerate(zip(chain, chain[1:]), 1):
-        changed = list(compress(positions, map(ne, p1, p2)))
+    if len(changes) != len(chain) - 1:
+        raise AssertionError(
+            f"decomposition produced {len(changes)} change lists for "
+            f"{len(chain)} components; this is an implementation bug")
+    for k, (changed, p1, p2) in enumerate(zip(changes, chain, chain[1:]), 1):
         if not changed or any(rank[s][p1[s]] >= rank[s][p2[s]] for s in changed):
             raise AssertionError(
                 f"decomposition produced a non-decreasing chain at component "
                 f"{k}; this is an implementation bug")
-        changes.append(changed)
-    return changes
 
 
 DELTA_GUARD = 10_000
@@ -447,15 +490,20 @@ def satisfies_rtheta(rcf: RandomChoiceFunction, global_order: Sequence[str]
     """
     dom = rcf.domain
     dom.require_full("the random theta axioms")
-    grank = order_ranks(dom.order_index(global_order), dom.n)
-    witness = _rtheta_witness(dom, rcf._scaled[1], grank)
+    order = dom.order_index(global_order)
+    witness = _rtheta_witness(dom, rcf._scaled[1], order_ranks(order, dom.n),
+                              _slots_in_order(dom, order))
     return witness is None, witness
 
 
 def _rtheta_witness(dom: ChoiceDomain, units: Sequence[Sequence[int]],
-                    grank: Sequence[int]) -> RThetaViolation | None:
-    """The first failed random-axiom comparison on scaled probabilities."""
-    strict, weak = _cumulatives(dom.sets, units, grank)
+                    grank: Sequence[int], slots: Sequence[Sequence[int]]
+                    ) -> RThetaViolation | None:
+    """The first failed random-axiom comparison on scaled probabilities.
+
+    ``slots`` lists each set's member slots best first under ``grank``.
+    """
+    strict, weak = _cumulatives(units, slots)
     alts = dom.alternatives
     for si, x, sub, y, here, there in dom.comparisons:
         if grank[y] < grank[x]:  # y better than removed x
@@ -473,27 +521,29 @@ def decompose_theta(rcf: RandomChoiceFunction,
     """Progressive decomposition guaranteed to land in the minimal extension.
 
     Requires the cumulative axioms to hold.  The axiom check and the sweep
-    both read the RCF's stored ``int`` view.  The chain is checked
-    pair by pair (``_assert_decreasing_chain``), and every component against
-    the deterministic axioms (``_assert_chain_in_theta``): the first in
-    full, each later one at the removals that read a set where its pick
-    differs from the component before.  A failure of either check signals
-    an implementation bug, not bad input.
+    both read the RCF's stored ``int`` view, and share one slot order: each
+    set's members best first under the global order, from one walk of the
+    order (``_slots_in_order``).  The chain is checked pair by pair at the
+    sets the sweep lists as changed (``_assert_decreasing_chain``, with the
+    global rank standing for every set's ranking), and every component
+    against the deterministic axioms (``_assert_chain_in_theta``): the first
+    in full, each later one at the removals that read a listed set.  A
+    failure of either check signals an implementation bug, not bad input.
     """
     dom = rcf.domain
     dom.require_full("the random theta axioms")
-    ordering = PrimitiveOrderings.from_global(dom, global_order)
-    grank = ordering.global_rank
+    order = dom.order_index(global_order)
+    grank = order_ranks(order, dom.n)
+    slots = _slots_in_order(dom, order)
     common, units = rcf._scaled
-    witness = _rtheta_witness(dom, units, grank)
+    witness = _rtheta_witness(dom, units, grank, slots)
     if witness is not None:
         raise ChoiceError(
             f"the RCF violates the cumulative axioms ({witness.axiom} at "
-            f"S={''.join(witness.set_symbols)}, removing {witness.removed}, "
+            f"S={witness.set_symbols!r}, removing {witness.removed}, "
             f"fixed {witness.fixed})")
-    rep = _sweep(dom, ordering, common, units)
-    chain = [c.picks for _, c in rep.components]
-    changes = _assert_decreasing_chain(chain, ordering.rank)
+    rep, chain, changes = _sweep(dom, slots, common, units)
+    _assert_decreasing_chain(chain, [grank] * len(dom.sets), changes)
     _assert_chain_in_theta(chain, changes, dom, grank)
     return rep
 
@@ -520,5 +570,5 @@ def _assert_chain_in_theta(chain: Sequence[tuple[int, ...]],
             si, x, _ = found
             raise AssertionError(
                 f"decomposition component {k} escaped the minimal extension at "
-                f"S={''.join(domain.set_symbols(si))}, removing "
+                f"S={domain.set_symbols(si)!r}, removing "
                 f"{domain.alternatives[x]}; this is an implementation bug")

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 import re
@@ -37,6 +38,9 @@ from choicelattice.models import theta_violation
 from choicelattice.random_choice import (
     _assert_chain_in_theta,
     _assert_decreasing_chain,
+    _slots_in_order,
+    _slots_in_rankings,
+    _sweep,
 )
 
 from brute import (
@@ -180,6 +184,24 @@ class TestCumulative:
                 assert values[0] == 0
                 assert all(u <= v for u, v in zip(values, values[1:]))
                 assert values[-1] <= 1
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_partial_domains_equal_fraction_cumulatives(self, n):
+        # cumulative needs no full domain: the slot table of a domain with
+        # some sets left out still ranks each set's members
+        rng = random.Random(2212 + n)
+        alternatives = "abcde"[:n]
+        every = [s for k in range(2, n + 1)
+                 for s in itertools.combinations(alternatives, k)]
+        for _ in range(12):
+            kept = rng.sample(every, rng.randint(1, len(every) - 1))
+            domain = ChoiceDomain.from_symbols(alternatives, kept)
+            assert not domain.is_full
+            for rho in (random_rcf(domain, rng), _rcf_with_zeros(domain, rng)):
+                order = rng.sample(alternatives, n)
+                grank = [order.index(a) for a in domain.alternatives]
+                strict, _ = fraction_cumulatives(rho, grank)
+                assert cumulative(rho, order).values == tuple(map(tuple, strict))
 
 
 class TestDecompose:
@@ -531,6 +553,20 @@ class TestDecomposeTheta:
         with pytest.raises(ChoiceError):
             decompose_theta(example1_rcf, ABC)
 
+    def test_messages_name_a_set_by_its_symbol_tuple(self):
+        # joined, ('x1', 'x2', 'x12') would read x1x2x12, which other sets
+        # of other domains could spell too
+        dom = ChoiceDomain.full(["x1", "x2", "x12"])
+        c = ChoiceFunction.from_symbols(dom, ["x1", "x1", "x12", "x2"])
+        with pytest.raises(ChoiceError, match=re.escape(
+                "(rtheta1 at S=('x1', 'x2', 'x12'), removing x2, fixed x1)")):
+            decompose_theta(deterministic(c), dom.alternatives)
+        grank = PrimitiveOrderings.from_global(dom, dom.alternatives).global_rank
+        with pytest.raises(AssertionError, match=re.escape(
+                "component 0 escaped the minimal extension at "
+                "S=('x1', 'x2', 'x12'), removing x2;")):
+            _assert_chain_in_theta([c.picks], [], dom, grank)
+
 
 @functools.cache
 def _primes_from(low, count):
@@ -624,6 +660,44 @@ class TestIntegerRoute:
                 assert ([(w, c.picks) for w, c in rep.components]
                         == fraction_sweep(rho, ordering))
 
+    @pytest.fixture(scope="class")
+    def mixtures7(self):
+        rng = random.Random(1344907)
+        domain = ChoiceDomain.full("abcdefg")
+        return [compose(_rational_mixture(domain, rng, rng.randint(8, 20)))
+                for _ in range(4)]
+
+    def test_change_lists_are_the_sets_that_differ(self, cases, mixtures7):
+        rng = random.Random(5)
+        rcfs = [rho for rho, _ in cases] + mixtures7
+        for rho in rcfs:
+            dom = rho.domain
+            for per_set in (False, True):
+                ordering = random_ordering(rng, dom, per_set)
+                slots = _slots_in_rankings(dom, ordering)
+                if not per_set:
+                    assert _slots_in_order(dom, ordering.global_order) == slots
+                rep, rows, changes = _sweep(dom, slots, *rho._scaled)
+                assert rows == [c.picks for c in rep.functions()]
+                assert changes == _changes(rows)
+
+    def test_chains_pass_the_brute_chain_check(self, cases, mixtures7):
+        rng = random.Random(9)
+        rcfs = [(rho, dist is not None) for rho, dist in cases]
+        rcfs += [(rho, True) for rho in mixtures7]
+        for rho, mixture in rcfs:
+            for per_set in (False, True):
+                ordering = random_ordering(rng, rho.domain, per_set)
+                rep = decompose_progressive(rho, ordering)
+                assert chain_fault([c.picks for c in rep.functions()],
+                                   ordering.rank) is None
+            if mixture:  # passes the random axioms under every order
+                order = rng.sample(rho.domain.alternatives, rho.domain.n)
+                rank = PrimitiveOrderings.from_global(rho.domain, order).rank
+                rep = decompose_theta(rho, order)
+                assert chain_fault([c.picks for c in rep.functions()],
+                                   rank) is None
+
     def test_cumulatives_and_axioms_equal_fraction_references(self, cases):
         rng = random.Random(11)
         verdicts = set()
@@ -715,14 +789,40 @@ class TestChainChecks:
             expected = chain_fault(chain, ordering.rank)
             verdicts.add((kind, expected is None))
             if expected is None:
-                assert _assert_decreasing_chain(chain, ordering.rank) == _changes(chain)
+                _assert_decreasing_chain(chain, ordering.rank, _changes(chain))
             else:
                 with pytest.raises(AssertionError,
                                    match=f"chain at component {expected};"):
-                    _assert_decreasing_chain(chain, ordering.rank)
+                    _assert_decreasing_chain(chain, ordering.rank, _changes(chain))
         assert verdicts >= {("mixture", True), ("one_set", True),
                             ("one_set", False), ("repeated", False),
                             ("last_escapes", True), ("decreasing", True)}
+
+    def test_chain_check_refuses_a_listed_set_that_kept_its_pick(self, chains):
+        refused = 0
+        for kind, ordering, chain in chains:
+            if kind != "mixture" or len(chain) < 2:
+                continue
+            changes = _changes(chain)
+            _assert_decreasing_chain(chain, ordering.rank, changes)
+            k = len(changes) // 2
+            kept = next(s for s in range(len(chain[0])) if s not in changes[k])
+            listed = sorted(changes[k] + [kept])
+            with pytest.raises(AssertionError,
+                               match=f"chain at component {k + 1};"):
+                _assert_decreasing_chain(
+                    chain, ordering.rank,
+                    changes[:k] + [listed] + changes[k + 1:])
+            refused += 1
+        assert refused >= 10
+
+    def test_chain_check_refuses_an_empty_or_missing_list(self, dom3, ord3):
+        chain = [fn(dom3, "aaab").picks, fn(dom3, "baab").picks]
+        _assert_decreasing_chain(chain, ord3.rank, [[0]])
+        with pytest.raises(AssertionError, match="chain at component 1;"):
+            _assert_decreasing_chain(chain, ord3.rank, [[]])
+        with pytest.raises(AssertionError, match="0 change lists for 2"):
+            _assert_decreasing_chain(chain, ord3.rank, [])
 
     def test_theta_check_flags_what_the_full_scan_flags(self, chains):
         verdicts = set()
