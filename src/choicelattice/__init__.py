@@ -24,6 +24,7 @@ from .models import (
     MixtureWitness,
     ThetaViolation,
     enumerate_rational,
+    gen_random_model,
     is_chain,
     is_lattice,
     is_mixture_closed,
@@ -32,12 +33,10 @@ from .models import (
     theta_model,
 )
 from .random_choice import (
-    CumulativeRCF,
     ProgressiveRepresentation,
     RThetaViolation,
     RandomChoiceFunction,
     compose,
-    cumulative,
     decompose_progressive,
     decompose_theta,
     deterministic,
@@ -59,7 +58,6 @@ from .identify import (
     check_axioms,
     identify_primitive,
 )
-from .generators import gen_random_model
 from .oracle import exact_feasible
 
 __version__ = "0.1.0"

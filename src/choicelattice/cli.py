@@ -47,6 +47,7 @@ from .core import (
 from .models import (
     ChoiceModel,
     enumerate_rational,
+    gen_random_model,
     is_chain,
     is_lattice,
     is_mixture_closed,
@@ -56,7 +57,6 @@ from .models import (
 )
 from .random_choice import RandomChoiceFunction, decompose_progressive, satisfies_rtheta
 from .identify import identify_primitive
-from .generators import gen_random_model
 
 EXIT_PASS = 0
 EXIT_FAIL = 1

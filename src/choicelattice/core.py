@@ -287,12 +287,6 @@ class PrimitiveOrderings:
         """Packs pick vectors into ints for bitwise join, meet and dominance."""
         return _packed_ranks(self)
 
-    @cached_property
-    def global_rank(self) -> tuple[int, ...]:
-        if self.global_order is None:
-            raise ChoiceError("this operation needs a single global ordering")
-        return tuple(order_ranks(self.global_order, self.domain.n))
-
     def global_symbols(self) -> tuple[str, ...]:
         if self.global_order is None:
             raise ChoiceError("this operation needs a single global ordering")

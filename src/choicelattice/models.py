@@ -3,13 +3,14 @@
 A choice model is a finite set of choice functions over one shared domain.
 This module verifies and builds the lattice structure behind orderly
 (progressive) representability, materializes the rational model and its
-minimal extension, and checks mixture closure.
+minimal extension, checks mixture closure, and draws seeded random models.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random as _stdrandom
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
@@ -22,6 +23,7 @@ from .core import (
     DomainMismatchError,
     GuardError,
     PrimitiveOrderings,
+    _same_domain,
     order_ranks,
 )
 
@@ -119,11 +121,6 @@ class MixtureWitness:
     escapee: ChoiceFunction
 
 
-def _check_shared(model: ChoiceModel, ordering: PrimitiveOrderings) -> None:
-    if model.domain != ordering.domain:
-        raise DomainMismatchError("model and orderings live on different domains")
-
-
 BLOCK_WORDS = 2048
 
 
@@ -142,7 +139,7 @@ def is_lattice(model: ChoiceModel, ordering: PrimitiveOrderings
     the meet; the witness is its first escape, recomputed with the scalar
     join or meet.
     """
-    _check_shared(model, ordering)
+    _same_domain(model, ordering)
     packed = ordering.packed
     m, size = len(model.functions), 8 * packed.words
     values = [packed.pack(c.picks) for c in model.functions]
@@ -189,7 +186,7 @@ def lattice_closure(model: ChoiceModel,
     |M| |G| + |L| |M| operations, not |L|^2.  Either stage raises a
     ``GuardError`` once it holds more than ``CLOSURE_GUARD`` members.
     """
-    _check_shared(model, ordering)
+    _same_domain(model, ordering)
     packed = ordering.packed
     gens = [packed.pack(c.picks) for c in model.functions]
     closed = _close(_close(gens, packed.meet), packed.join)
@@ -220,7 +217,7 @@ def is_chain(model: ChoiceModel, ordering: PrimitiveOrderings
              ) -> tuple[bool, tuple[ChoiceFunction, ChoiceFunction] | None]:
     """True iff the comparison relation is total on the model; otherwise
     the first incomparable pair."""
-    _check_shared(model, ordering)
+    _same_domain(model, ordering)
     packed = ordering.packed
     values = [packed.pack(c.picks) for c in model.functions]
     better = packed.weakly_better
@@ -238,6 +235,20 @@ def enumerate_rational(domain: ChoiceDomain) -> ChoiceModel:
     for order in itertools.permutations(range(domain.n)):
         rank = order_ranks(order, domain.n)
         seen.add(tuple(min(s, key=rank.__getitem__) for s in domain.sets))
+    return ChoiceModel.from_picks(domain, seen)
+
+
+def gen_random_model(seed: int, domain: ChoiceDomain, size: int) -> ChoiceModel:
+    """Deterministic pseudorandom model of distinct functions."""
+    total = 1
+    for s in domain.sets:
+        total *= len(s)
+    if size < 1 or size > total:
+        raise ChoiceError(f"size must be between 1 and {total}")
+    rng = _stdrandom.Random(seed)
+    seen: set[tuple[int, ...]] = set()
+    while len(seen) < size:
+        seen.add(tuple(rng.choice(s) for s in domain.sets))
     return ChoiceModel.from_picks(domain, seen)
 
 
@@ -259,32 +270,17 @@ def _theta_fault(picks: Sequence[int], removals: Iterable[tuple[int, int, int]],
     return None
 
 
-def theta_violation(picks: Sequence[int], domain: ChoiceDomain,
-                    grank: Sequence[int]) -> tuple[int, int, int, int] | None:
-    """The first failed choice-overload comparison, or None.
-
-    Returns (set position, removed x, chosen y, chosen after removal), all
-    as indices; ``grank`` holds the global rank of each alternative.  Scans
-    ``ChoiceDomain.removals``, the removals that stay inside the domain, in
-    order, with the rule of ``_theta_fault``.
-    """
-    found = _theta_fault(picks, domain.removals, grank)
-    if found is None:
-        return None
-    si, x, sub = found
-    return si, x, picks[si], picks[sub]
-
-
 def satisfies_theta(c: ChoiceFunction, global_order: Sequence[str]
                     ) -> tuple[bool, ThetaViolation | None]:
     """Check both choice-overload axioms at every (set, removed alternative)."""
     dom = c.domain
     dom.require_full("the theta axioms")
     grank = order_ranks(dom.order_index(global_order), dom.n)
-    found = theta_violation(c.picks, dom, grank)
+    found = _theta_fault(c.picks, dom.removals, grank)
     if found is None:
         return True, None
-    si, x, y, y2 = found
+    si, x, sub = found
+    y, y2 = c.picks[si], c.picks[sub]
     alts = dom.alternatives
     axiom = "theta1" if grank[y] < grank[x] else "theta2"
     return False, ThetaViolation(dom.set_symbols(si), alts[x], alts[y],

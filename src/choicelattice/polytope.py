@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .core import ChoiceDomain, ChoiceError, ChoiceFunction, order_ranks
+from .core import (ChoiceDomain, ChoiceError, ChoiceFunction, _same_domain,
+                   order_ranks)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -43,22 +44,6 @@ class ConstraintSystem:
                 raise ChoiceError("row entries must be -1, 0, or 1")
         if any(v not in (0, 1) for v in self.rhs):
             raise ChoiceError("right-hand sides must be 0 or 1")
-
-    def column_labels(self) -> tuple[str, ...]:
-        alts = self.domain.alternatives
-        return tuple(f"{alts[x]}|{''.join(self.domain.set_symbols(si))}"
-                     for si, x in self.columns)
-
-    def matrix_csv(self) -> str:
-        header = ",".join(self.column_labels())
-        lines = [header]
-        lines += [",".join(str(v) for v in row) for row in self.rows]
-        return "\n".join(lines) + "\n"
-
-    def tags_csv(self) -> str:
-        lines = ["tag,rhs"]
-        lines += [f"{tag},{b}" for tag, b in zip(self.tags, self.rhs)]
-        return "\n".join(lines) + "\n"
 
 
 def build_constraints(domain: ChoiceDomain,
@@ -146,8 +131,7 @@ def function_vertex(system: ConstraintSystem,
                     c: ChoiceFunction) -> tuple[Fraction, ...]:
     """The 0/1 cumulative vector of a deterministic choice function,
     in the system's column order."""
-    if c.domain != system.domain:
-        raise ChoiceError("function lives on a different domain")
+    _same_domain(c, system)
     grank = order_ranks(system.global_order, system.domain.n)
     return tuple(ONE if grank[c.picks[si]] < grank[x] else ZERO
                  for si, x in system.columns)

@@ -20,6 +20,7 @@ from .core import (
     DomainMismatchError,
     GuardError,
     PrimitiveOrderings,
+    _same_domain,
     order_ranks,
 )
 from .models import ChoiceModel, _theta_fault
@@ -58,9 +59,9 @@ class RandomChoiceFunction:
     The integer view is built here, once, from the rows the checks already
     scale: ``_scaled`` is (D, units), with D the lcm of every denominator
     and ``units[si]`` the row ``probs[si]`` times D, as ``int``s.  The sweep,
-    the random-axiom check, ``cumulative`` and ``in_delta`` read it rather
-    than scale the RCF again.  Like ``ChoiceModel``'s member set, it is an
-    attribute, not a field, so equality and hashing do not see it.
+    the random-axiom check and ``in_delta`` read it rather than scale the
+    RCF again.  Like ``ChoiceModel``'s member set, it is an attribute, not
+    a field, so equality and hashing do not see it.
     """
 
     domain: ChoiceDomain = field(hash=False)
@@ -137,17 +138,6 @@ def _member_slot(domain: ChoiceDomain, pos: int, members: tuple,
 
 
 @dataclass(frozen=True)
-class CumulativeRCF:
-    """Per (alternative, set): total probability of a strictly better choice."""
-
-    domain: ChoiceDomain = field(hash=False)
-    values: tuple[tuple[Fraction, ...], ...] = ()  # aligned like probs
-
-    def value(self, set_position: int, x: int) -> Fraction:
-        return self.values[set_position][self.domain.sets[set_position].index(x)]
-
-
-@dataclass(frozen=True)
 class ProgressiveRepresentation:
     """Positive weights on a strictly decreasing chain of choice functions.
 
@@ -219,21 +209,6 @@ def deterministic(c: ChoiceFunction) -> RandomChoiceFunction:
     return compose({c: ONE})
 
 
-def cumulative(rcf: RandomChoiceFunction,
-               global_order: Sequence[str]) -> CumulativeRCF:
-    """Cumulative form: value at (y, S) sums the weight strictly above y.
-
-    Each set's members are read in rank order from one walk of the order
-    (``_slots_in_order``), so any domain will do, full or not.
-    """
-    dom = rcf.domain
-    common, units = rcf._scaled
-    slots = _slots_in_order(dom, dom.order_index(global_order))
-    strict, _ = _cumulatives(units, slots)
-    return CumulativeRCF(dom, tuple(
-        tuple(Fraction(v, common) for v in row) for row in strict))
-
-
 def _slots_in_order(dom: ChoiceDomain, order: Sequence[int]) -> list[list[int]]:
     """Each set's member slots, best first under a global order.
 
@@ -262,11 +237,11 @@ def _cumulatives(units: Sequence[Sequence[int]], slots: Sequence[Sequence[int]]
     """Per (set, member): mass strictly above, and mass at or above.
 
     ``units`` are the probabilities scaled by D (the RCF's ``_scaled``),
-    so both results are ``int`` multiples of 1/D.  Comparisons between them
-    need no division, and ``cumulative`` divides each entry by D once.
-    ``slots`` lists each set's member slots best first
-    (``_slots_in_order``), so one running sum per set reads the members in
-    rank order, with no sort here.
+    so both results are ``int`` multiples of 1/D and comparisons between
+    them need no division.  ``slots`` lists each set's member slots best
+    first (``_slots_in_order``), so one running sum per set reads the
+    members in rank order, with no sort here.  Any domain will do, full or
+    not.
     """
     strict, weak = [], []
     for order, row in zip(slots, units):
@@ -305,9 +280,7 @@ def decompose_progressive(rcf: RandomChoiceFunction,
     built, one set's column at a time (``ChoiceFunction.many``), and
     ``_assert_decreasing_chain`` checks each step at its listed sets.
     """
-    dom = rcf.domain
-    if ordering.domain != dom:
-        raise DomainMismatchError("orderings live on a different domain")
+    dom = _same_domain(rcf, ordering)
     rep, chain, changes = _sweep(dom, _slots_in_rankings(dom, ordering),
                                  *rcf._scaled)
     _assert_decreasing_chain(chain, ordering.rank, changes)
@@ -430,9 +403,7 @@ def in_delta(rcf: RandomChoiceFunction, model: ChoiceModel
 
     ``DELTA_GUARD`` counts the model's functions before the filter.
     """
-    dom = rcf.domain
-    if model.domain != dom:
-        raise DomainMismatchError("model lives on a different domain")
+    dom = _same_domain(rcf, model)
     if len(model) > DELTA_GUARD:
         raise GuardError(f"in_delta: {len(model):,} model functions exceed "
                          f"the guard of {DELTA_GUARD:,}")

@@ -13,7 +13,7 @@ progressive sweep, the cumulatives, the random theta axioms and
 ``compose`` are here too, on ``Fraction``s throughout, as the references
 for the package's integer routes, and the full per-component scans of a
 decomposition chain (``compare_picks`` on every consecutive pair,
-``theta_violation`` on every component) as the references for its
+``_theta_fault`` on every component) as the references for its
 incremental certificate checks.  The tuple loops ``compare_picks``,
 ``join_picks`` and ``meet_picks`` are the references for the package's
 packed pick-vector operations.  ``delta_unreduced`` decides Delta(M)
@@ -43,7 +43,7 @@ from choicelattice import (
     exact_feasible,
 )
 from choicelattice.core import order_ranks
-from choicelattice.models import theta_violation
+from choicelattice.models import _theta_fault
 from choicelattice.polytope import ConstraintSystem
 
 ZERO = Fraction(0)
@@ -160,7 +160,8 @@ def theta_orders(model: ChoiceModel) -> tuple[tuple[str, ...], ...]:
     found = []
     for order in itertools.permutations(range(dom.n)):
         grank = order_ranks(order, dom.n)
-        if all(theta_violation(c.picks, dom, grank) is None for c in model):
+        if all(_theta_fault(c.picks, dom.removals, grank) is None
+               for c in model):
             found.append(tuple(dom.alternatives[i] for i in order))
     return tuple(sorted(found))
 
@@ -456,7 +457,7 @@ def theta_escape(chain: Sequence[tuple[int, ...]], domain: ChoiceDomain,
                  grank: Sequence[int]) -> int | None:
     """The first pick vector that fails the theta axioms, each scanned in full."""
     for k, picks in enumerate(chain):
-        if theta_violation(picks, domain, grank) is not None:
+        if _theta_fault(picks, domain.removals, grank) is not None:
             return k
     return None
 

@@ -13,8 +13,15 @@ from choicelattice import (
     Comparison,
     DomainMismatchError,
     PrimitiveOrderings,
+    build_constraints,
     cli,
     compare,
+    decompose_progressive,
+    deterministic,
+    function_vertex,
+    in_delta,
+    is_chain,
+    is_lattice,
     join,
     lattice_closure,
     meet,
@@ -277,6 +284,34 @@ def test_domain_mismatch_raises(dom3, dom4, ord3):
     with pytest.raises(DomainMismatchError):
         compare(fn(dom3, "aaab"),
                 ChoiceFunction(dom4, tuple(s[0] for s in dom4.sets)), ord3)
+
+
+# Each entry point called with a function c on the full domain over a, b, c
+# and a function f on a domain over the same alphabet without the set {a, c}.
+FOREIGN_CALLS = {
+    "decompose_progressive": lambda c, f, o: decompose_progressive(
+        deterministic(f), o),
+    "in_delta": lambda c, f, o: in_delta(deterministic(c),
+                                         ChoiceModel.from_functions([f])),
+    "is_lattice": lambda c, f, o: is_lattice(ChoiceModel.from_functions([f]), o),
+    "lattice_closure": lambda c, f, o: lattice_closure(
+        ChoiceModel.from_functions([f]), o),
+    "is_chain": lambda c, f, o: is_chain(ChoiceModel.from_functions([f]), o),
+    "compare": compare,
+    "join": join,
+    "meet": meet,
+    "function_vertex": lambda c, f, o: function_vertex(
+        build_constraints(c.domain, c.domain.alternatives), f),
+}
+
+
+@pytest.mark.parametrize("name", list(FOREIGN_CALLS))
+def test_foreign_domain_raises_domain_mismatch(name, dom3, ord3):
+    foreign = ChoiceDomain.from_symbols("abc", ["abc", "ab", "bc"])
+    assert foreign.alternatives == dom3.alternatives and foreign != dom3
+    f = ChoiceFunction(foreign, tuple(s[0] for s in foreign.sets))
+    with pytest.raises(DomainMismatchError):
+        FOREIGN_CALLS[name](fn(dom3, "aaab"), f, ord3)
 
 
 def _scanned_removals(domain):

@@ -26,7 +26,7 @@ from choicelattice import (
 )
 
 from choicelattice.core import order_ranks
-from choicelattice.models import BLOCK_WORDS, theta_violation
+from choicelattice.models import BLOCK_WORDS, _theta_fault
 
 from brute import (all_choice_functions, all_orderings, compare_picks,
                    is_single_crossing, join_picks, meet_picks)
@@ -83,7 +83,7 @@ def _theta_filter(n, order):
     domain = ChoiceDomain.full("abcd"[:n])
     grank = order_ranks(order, n)
     return frozenset(picks for picks in itertools.product(*domain.sets)
-                     if theta_violation(picks, domain, grank) is None)
+                     if _theta_fault(picks, domain.removals, grank) is None)
 
 
 class TestPackedEngine:

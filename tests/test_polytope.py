@@ -10,18 +10,19 @@ from choicelattice import (
     GuardError,
     build_constraints,
     compose,
-    cumulative,
     function_vertex,
     heller_check,
     satisfies_rtheta,
     theta_model,
     vertex_function,
 )
+from choicelattice.core import order_ranks
 from brute import (
     _int_det,
     all_choice_functions,
     all_orderings,
     enumerate_vertices,
+    fraction_cumulatives,
     sample_subdeterminants,
 )
 from conftest import ABC
@@ -73,15 +74,6 @@ class TestBuildConstraints:
         domain = ChoiceDomain.from_symbols("abc", [["a", "b"], ["b", "c"]])
         with pytest.raises(Exception):
             build_constraints(domain, ABC)
-
-    def test_csv_export(self, dom3):
-        system = build_constraints(dom3, ABC)
-        matrix_lines = system.matrix_csv().strip().split("\n")
-        assert len(matrix_lines) == 1 + len(system.rows)
-        assert matrix_lines[0].startswith("a|abc,b|abc,c|abc")
-        tag_lines = system.tags_csv().strip().split("\n")
-        assert tag_lines[0] == "tag,rhs"
-        assert len(tag_lines) == 1 + len(system.rows)
 
 
 class TestHeller:
@@ -177,6 +169,7 @@ class TestVertices:
         for domain, order in ((dom3, ABC), (dom4, tuple("abcd"))):
             system = build_constraints(domain, order)
             theta = theta_model(domain, order).functions
+            grank = order_ranks(domain.order_index(order), domain.n)
             for trial in range(40):
                 if trial % 2:
                     rho = random_rcf(domain, rng, max_den=3)
@@ -185,8 +178,9 @@ class TestVertices:
                     weights = [rng.randint(1, 5) for _ in members]
                     rho = compose({c: F(w, sum(weights))
                                    for c, w in zip(members, weights)})
-                cum = cumulative(rho, order)
-                point = tuple(cum.value(si, x) for si, x in system.columns)
+                strict, _ = fraction_cumulatives(rho, grank)
+                point = tuple(strict[si][domain.sets[si].index(x)]
+                              for si, x in system.columns)
                 feasible = bool(_feasible_points(system, [point]))
                 assert feasible == satisfies_rtheta(rho, order)[0]
                 answers.add(feasible)

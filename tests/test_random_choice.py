@@ -20,7 +20,6 @@ from choicelattice import (
     RandomChoiceFunction,
     compare,
     compose,
-    cumulative,
     decompose_progressive,
     decompose_theta,
     deterministic,
@@ -34,10 +33,12 @@ from choicelattice import (
     theta_model,
 )
 from choicelattice import random_choice
-from choicelattice.models import theta_violation
+from choicelattice.core import order_ranks
+from choicelattice.models import _theta_fault
 from choicelattice.random_choice import (
     _assert_chain_in_theta,
     _assert_decreasing_chain,
+    _cumulatives,
     _slots_in_order,
     _slots_in_rankings,
     _sweep,
@@ -57,6 +58,16 @@ from brute import (
 from conftest import ABC, fn, random_ordering
 
 F = Fraction
+
+
+def _cumulative(rho, order):
+    """Mass strictly above each (set, member) under a global order: the
+    package's ``int`` cumulatives divided by D."""
+    dom = rho.domain
+    common, units = rho._scaled
+    slots = _slots_in_order(dom, dom.order_index(order))
+    strict, _ = _cumulatives(units, slots)
+    return [[F(v, common) for v in row] for row in strict]
 
 
 def random_rcf(domain, rng, max_den=6):
@@ -163,31 +174,31 @@ class TestExactEntries:
 
 class TestCumulative:
     def test_example1_values(self, example1_rcf):
-        cum = cumulative(example1_rcf, ABC)
+        cum = _cumulative(example1_rcf, ABC)
         dom = example1_rcf.domain
         pos = {dom.sets[i]: i for i in range(4)}
-        assert cum.value(pos[(0, 1)], 1) == F(2, 3)   # above b in {a,b}
-        assert cum.value(pos[(0, 1, 2)], 2) == F(1)   # above c in X
+        assert cum[pos[(0, 1)]][1] == F(2, 3)      # above b in {a,b}
+        assert cum[pos[(0, 1, 2)]][2] == F(1)      # above c in X
         for si, s in enumerate(dom.sets):
             if 0 in s:
-                assert cum.value(si, 0) == 0          # nothing above a
+                assert cum[si][s.index(0)] == 0    # nothing above a
 
     def test_invariants_on_random_rcfs(self, dom3):
         rng = random.Random(2)
         grank = {a: i for i, a in enumerate(ABC)}
         for _ in range(60):
             rho = random_rcf(dom3, rng)
-            cum = cumulative(rho, ABC)
+            cum = _cumulative(rho, ABC)
             for si, s in enumerate(dom3.sets):
                 ranked = sorted(s, key=lambda x: grank[ABC[x]])
-                values = [cum.value(si, x) for x in ranked]
+                values = [cum[si][s.index(x)] for x in ranked]
                 assert values[0] == 0
                 assert all(u <= v for u, v in zip(values, values[1:]))
                 assert values[-1] <= 1
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_partial_domains_equal_fraction_cumulatives(self, n):
-        # cumulative needs no full domain: the slot table of a domain with
+        # the cumulatives need no full domain: the slot table of a domain with
         # some sets left out still ranks each set's members
         rng = random.Random(2212 + n)
         alternatives = "abcde"[:n]
@@ -201,7 +212,7 @@ class TestCumulative:
                 order = rng.sample(alternatives, n)
                 grank = [order.index(a) for a in domain.alternatives]
                 strict, _ = fraction_cumulatives(rho, grank)
-                assert cumulative(rho, order).values == tuple(map(tuple, strict))
+                assert _cumulative(rho, order) == strict
 
 
 class TestDecompose:
@@ -498,7 +509,8 @@ class TestRandomUtility:
             c1, c2 = rng.sample(rational.functions, 2)
             c = rng.choice((join, meet))(c1, c2, ordering)
             if c not in rational:
-                assert theta_violation(c.picks, dom, ordering.global_rank) is None
+                grank = order_ranks(ordering.global_order, dom.n)
+                assert _theta_fault(c.picks, dom.removals, grank) is None
                 return c
 
 
@@ -561,7 +573,7 @@ class TestDecomposeTheta:
         with pytest.raises(ChoiceError, match=re.escape(
                 "(rtheta1 at S=('x1', 'x2', 'x12'), removing x2, fixed x1)")):
             decompose_theta(deterministic(c), dom.alternatives)
-        grank = PrimitiveOrderings.from_global(dom, dom.alternatives).global_rank
+        grank = order_ranks(dom.order_index(dom.alternatives), dom.n)
         with pytest.raises(AssertionError, match=re.escape(
                 "component 0 escaped the minimal extension at "
                 "S=('x1', 'x2', 'x12'), removing x2;")):
@@ -705,7 +717,7 @@ class TestIntegerRoute:
             order = rng.sample(rho.domain.alternatives, rho.domain.n)
             grank = [order.index(a) for a in rho.domain.alternatives]
             strict, _ = fraction_cumulatives(rho, grank)
-            assert cumulative(rho, order).values == tuple(map(tuple, strict))
+            assert _cumulative(rho, order) == strict
             answer = satisfies_rtheta(rho, order)
             assert answer == fraction_rtheta(rho, order)
             assert answer[0] or dist is None
@@ -727,7 +739,7 @@ def _changes(chain):
 def _escaping_worsening(rng, picks, ordering):
     """picks made worse at one set so that it fails the theta axioms, or None."""
     dom = ordering.domain
-    grank = ordering.global_rank
+    grank = order_ranks(ordering.global_order, dom.n)
     for s in rng.sample(range(len(dom.sets)), len(dom.sets)):
         worse = [y for y in dom.sets[s] if grank[y] > grank[picks[s]]]
         for y in rng.sample(worse, len(worse)):
@@ -827,7 +839,8 @@ class TestChainChecks:
     def test_theta_check_flags_what_the_full_scan_flags(self, chains):
         verdicts = set()
         for kind, ordering, chain in chains:
-            dom, grank = ordering.domain, ordering.global_rank
+            dom = ordering.domain
+            grank = order_ranks(ordering.global_order, dom.n)
             expected = theta_escape(chain, dom, grank)
             verdicts.add((kind, expected is None))
             if expected is None:
@@ -849,7 +862,7 @@ class TestChainChecks:
         # One component differs from a theta member at one set; the change
         # breaks a comparison where that set is S, or where it is S \ {x}.
         order = tuple("abcd")
-        grank = PrimitiveOrderings.from_global(dom4, order).global_rank
+        grank = order_ranks(dom4.order_index(order), dom4.n)
         members = sorted(theta_model(dom4, order).picks_set())
         roles = set()
         for picks in members[::5]:
@@ -858,7 +871,7 @@ class TestChainChecks:
                     if y == picks[p]:
                         continue
                     changed = picks[:p] + (y,) + picks[p + 1:]
-                    found = theta_violation(changed, dom4, grank)
+                    found = _theta_fault(changed, dom4.removals, grank)
                     chain = [picks, changed]
                     if found is None:
                         _assert_chain_in_theta(chain, [[p]], dom4, grank)
