@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -46,6 +47,7 @@ from .core import (
 )
 from .models import (
     ChoiceModel,
+    _rational_picks,
     enumerate_rational,
     gen_random_model,
     is_chain,
@@ -385,7 +387,8 @@ def cmd_closure(args) -> int:
     if args.oracle:
         dom = model.domain
         if (dom.is_full and ordering.global_order is not None
-                and model.picks_set() == enumerate_rational(dom).picks_set()):
+                and len(model) == math.factorial(dom.n)
+                and model.picks_set() == _rational_picks(dom)):
             expected = theta_model(dom, ordering.global_symbols())
             if closed.picks_set() != expected.picks_set():
                 sys.stderr.write("oracle mismatch: closure of the rational "

@@ -231,24 +231,69 @@ def enumerate_rational(domain: ChoiceDomain) -> ChoiceModel:
     """All maximizer functions of all strict orders, deduplicated."""
     if domain.n > ENUMERATION_GUARD_N:
         raise GuardError(f"rational enumeration is guarded at n <= {ENUMERATION_GUARD_N}")
-    seen = set()
-    for order in itertools.permutations(range(domain.n)):
-        rank = order_ranks(order, domain.n)
-        seen.add(tuple(min(s, key=rank.__getitem__) for s in domain.sets))
-    return ChoiceModel.from_picks(domain, seen)
+    return ChoiceModel.from_picks(domain, _rational_picks(domain))
+
+
+@lru_cache(maxsize=8)
+def _rational_picks(domain: ChoiceDomain) -> frozenset[tuple[int, ...]]:
+    """The maximizer function of every strict order, as picks.
+
+    A walk of the tree of order prefixes places the alternatives best first.
+    Placing x gives pick x to every set that holds x and has no pick yet,
+    so a prefix's picks are shared by every order that extends it, and a
+    branch ends as soon as every set has its pick: on the full domain after
+    n - 1 places, one leaf per order.  An x that would give no pick is
+    skipped, since it never will and the branch would only repeat one
+    without it.  On a partial domain several prefixes can reach one
+    function; the set keeps one.
+    """
+    table = [[si for si, _ in slots] for slots in domain.member_slots]
+    picks: list[int | None] = [None] * len(domain.sets)
+    found: set[tuple[int, ...]] = set()
+
+    def place(left: tuple[int, ...], unassigned: int) -> None:
+        for x in left:
+            fresh = [si for si in table[x] if picks[si] is None]
+            if not fresh:
+                continue
+            for si in fresh:
+                picks[si] = x
+            if unassigned == len(fresh):
+                found.add(tuple(picks))
+            else:
+                place(tuple(y for y in left if y != x), unassigned - len(fresh))
+            for si in fresh:
+                picks[si] = None
+
+    place(tuple(range(domain.n)), len(domain.sets))
+    return frozenset(found)
 
 
 def gen_random_model(seed: int, domain: ChoiceDomain, size: int) -> ChoiceModel:
-    """Deterministic pseudorandom model of distinct functions."""
+    """Deterministic pseudorandom model of distinct functions.
+
+    Each pick is the draw ``rng.choice(s)`` makes on Python 3.10 to 3.13: k,
+    the bit length of |s|, random bits redrawn until they index a member.
+    The draw is written out, with (s, |s|, k) computed once per set, so the
+    stream, and with it every model a seed gives (``tests/cli_golden.json``
+    pins one byte for byte), is the stream of ``rng.choice``.
+    """
     total = 1
     for s in domain.sets:
         total *= len(s)
     if size < 1 or size > total:
         raise ChoiceError(f"size must be between 1 and {total}")
-    rng = _stdrandom.Random(seed)
+    bits = _stdrandom.Random(seed).getrandbits
+    draws = [(s, len(s), len(s).bit_length()) for s in domain.sets]
     seen: set[tuple[int, ...]] = set()
     while len(seen) < size:
-        seen.add(tuple(rng.choice(s) for s in domain.sets))
+        picks = []
+        for s, m, k in draws:
+            r = bits(k)
+            while r >= m:
+                r = bits(k)
+            picks.append(s[r])
+        seen.add(tuple(picks))
     return ChoiceModel.from_picks(domain, seen)
 
 

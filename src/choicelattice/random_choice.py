@@ -8,9 +8,12 @@ no tolerance at all.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import sub
+from functools import lru_cache
+from itertools import chain
+from operator import attrgetter, sub
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -23,7 +26,7 @@ from .core import (
     _same_domain,
     order_ranks,
 )
-from .models import ChoiceModel, _theta_fault
+from .models import ChoiceModel, _rational_picks, _theta_fault
 from .oracle import exact_feasible
 
 ZERO = Fraction(0)
@@ -377,15 +380,27 @@ def in_delta(rcf: RandomChoiceFunction, model: ChoiceModel
              ) -> tuple[bool, dict[ChoiceFunction, Fraction] | None]:
     """Exact feasibility of representing the RCF as a mixture over the model.
 
-    The system is solved on the RCF's support.  The RCF's stored view
-    (``_scaled``) gives it in units of 1/D, D the lcm of its denominators,
-    as an ``int`` mass per set and alternative.  A model function with
-    weight w > 0 puts w on its pick at every set, so one that picks a
+    Both routes read the RCF's stored view (``_scaled``): every probability
+    in units of 1/D, D the lcm of its denominators, as an ``int``.
+
+    Random utility.  When the domain is full and the model is the rational
+    model (n! members, every rational function among them), the question
+    is put to Falmagne's theorem alone: the RCF is a mixture of rational
+    functions iff every Block-Marschak polynomial K(x, A) is >= 0
+    (``_block_marschak``, in units of 1/D with rho(x, {x}) = D).  If some
+    K < 0 the answer is no.  Otherwise it is yes, and the certificate is
+    Fiorini's path decomposition of the polynomials read as a flow
+    (``_fiorini``): each path is a ranking, its maximizer function is a
+    member of the model, and its weight is w / D.  Every other model,
+    theta(>) and the other lattices included, goes to the linear system, and
+    one whose size is not n! pays only the length test.
+
+    Linear system.  It is solved on the RCF's support.  A model function
+    with weight w > 0 puts w on its pick at every set, so one that picks a
     zero-mass alternative anywhere must have weight 0: only the functions
     whose picks all have positive mass become columns, in the model's
-    order.  If no function is
-    kept, or some positive entry (S, x) is picked by no kept function, the
-    answer is no with no LP.
+    order.  If no function is kept, or some positive entry (S, x) is picked
+    by no kept function, the answer is no with no LP.
 
     Otherwise the rows are, per set, one equation for each positive-mass
     member except the first one, and the unit-mass equation, all with
@@ -401,13 +416,26 @@ def in_delta(rcf: RandomChoiceFunction, model: ChoiceModel
     ``oracle.exact_feasible``; its solution is divided by D once to give the
     certificate.
 
-    ``DELTA_GUARD`` counts the model's functions before the filter.
+    ``DELTA_GUARD`` counts the model's functions, before either route.
     """
     dom = _same_domain(rcf, model)
     if len(model) > DELTA_GUARD:
         raise GuardError(f"in_delta: {len(model):,} model functions exceed "
                          f"the guard of {DELTA_GUARD:,}")
     common, units = rcf._scaled
+    if (len(model) == math.factorial(dom.n) and dom.is_full
+            and model.picks_set() == _rational_picks(dom)):
+        flow = _block_marschak(dom, common, units)
+        if min(map(flow.__getitem__, _flow_cells(dom)[1])) < 0:
+            return False, None
+        functions, key = model.functions, attrgetter("picks")
+        certificate = {}
+        for order, w in _fiorini(dom, flow, common):
+            picks = tuple([s[slots[0]] for s, slots
+                           in zip(dom.sets, _slots_in_order(dom, order))])
+            c = functions[bisect_left(functions, picks, key=key)]
+            certificate[c] = Fraction(w, common)
+        return True, certificate
     mass = [[0] * dom.n for _ in dom.sets]
     for row, s, u in zip(mass, dom.sets, units):
         for x, v in zip(s, u):
@@ -433,6 +461,92 @@ def in_delta(rcf: RandomChoiceFunction, model: ChoiceModel
     if solution is None:
         return False, None
     return True, {c: w / common for c, w in zip(functions, solution) if w != 0}
+
+
+@lru_cache(maxsize=8)
+def _flow_cells(domain: ChoiceDomain) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Where ``_block_marschak`` keeps each polynomial in its flat list.
+
+    K(x, A), for A a bitmask of alternatives that holds x, sits at cell
+    A n + x.  Returns the cell of each (set, member), sets in domain order
+    and members in slot order, as the rows of ``_scaled`` list them; and
+    every cell (A, x) with x in A.
+    """
+    n = domain.n
+    members = tuple(sum(1 << y for y in s) * n + x
+                    for s in domain.sets for x in s)
+    cells = tuple(a * n + x for a in range(1, 1 << n) for x in range(n)
+                  if a >> x & 1)
+    return members, cells
+
+
+def _block_marschak(domain: ChoiceDomain, common: int,
+                    units: Sequence[Sequence[int]]) -> list[int]:
+    """Every Block-Marschak polynomial of a full-domain RCF, in units of 1/D.
+
+    K(x, A) = sum over every B containing A of (-1)^|B - A| rho(x, B), with
+    rho(x, {x}) = 1, is the superset Moebius transform of rho(x, .).  The
+    list holds rho(x, A) D at cell A n + x (``_flow_cells``) and D at each
+    ({x}, x); one pass per alternative i subtracts each cell of a set with
+    i from the same cell of the set without i, a slice at a time, in
+    O(n^2 2^n) ``int`` additions.  Only the cells with x in A are
+    polynomials: a cell (A, x) with x outside A ends as -K(x, A + {x}).
+    """
+    n = domain.n
+    size = n << n
+    flow = [0] * size
+    for x in range(n):
+        flow[(n << x) + x] = common
+    for cell, v in zip(_flow_cells(domain)[0], chain.from_iterable(units)):
+        flow[cell] = v
+    for i in range(n):
+        half = n << i
+        for lo in range(0, size, 2 * half):
+            mid = lo + half
+            flow[lo:mid] = map(sub, flow[lo:mid], flow[mid:mid + half])
+    return flow
+
+
+def _fiorini(domain: ChoiceDomain, flow: list[int], common: int
+             ) -> list[tuple[list[int], int]]:
+    """Rankings with ``int`` weights that add up to D, from nonnegative
+    Block-Marschak polynomials; ``flow`` is used up.
+
+    Fiorini (2004) reads K(x, A) as the flow on the edge from A to
+    A - {x} of the lattice of subsets: the flow out of the full set is D,
+    and at every other nonempty A the flow in equals the flow out.  Each
+    pass walks from the full set to the empty one, removing the first x,
+    by index, with K(x, A) > 0; the removals in turn are a ranking, best
+    first.  The path's least K is its weight, and it is taken off every
+    edge of the path, which empties at least one edge and keeps the flow
+    balanced, until D is used up.
+    """
+    n = domain.n
+    paths = []
+    left = common
+    while left:
+        a, order, w = (1 << n) - 1, [], left
+        while a:
+            base = a * n
+            for x in range(n):
+                if a >> x & 1 and flow[base + x] > 0:
+                    break
+            else:
+                members = domain.symbols(y for y in range(n) if a >> y & 1)
+                raise AssertionError(
+                    f"no positive Block-Marschak edge out of A={members!r} "
+                    f"with {left} of {common} units of mass left; this is an "
+                    f"implementation bug")
+            order.append(x)
+            w = min(w, flow[base + x])
+            a ^= 1 << x
+        a = (1 << n) - 1
+        for x in order:
+            flow[a * n + x] -= w
+            a ^= 1 << x
+        left -= w
+        paths.append((order, w))
+    return paths
 
 
 @dataclass(frozen=True)

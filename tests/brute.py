@@ -19,7 +19,9 @@ incremental certificate checks.  The tuple loops ``compare_picks``,
 packed pick-vector operations.  ``delta_unreduced`` decides Delta(M)
 membership on the full linear system, with no reduction to the RCF's
 support, and ``block_marschak`` writes out every Block-Marschak polynomial
-as its literal superset sum.
+as its literal superset sum.  ``random_model_by_choice`` draws a seeded
+random model with ``random.Random.choice``, the reference stream for the
+package's written-out draw.
 """
 
 from __future__ import annotations
@@ -510,3 +512,14 @@ def block_marschak(rcf: RandomChoiceFunction
                         total += -p if k % 2 else p
                 found[(x, a)] = total
     return found
+
+
+def random_model_by_choice(seed: int, domain: ChoiceDomain, size: int
+                           ) -> frozenset[tuple[int, ...]]:
+    """The picks of ``size`` distinct functions, each pick drawn by
+    ``rng.choice`` set by set, in domain order, from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    seen: set[tuple[int, ...]] = set()
+    while len(seen) < size:
+        seen.add(tuple(rng.choice(s) for s in domain.sets))
+    return frozenset(seen)

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import random
 import time
 
@@ -15,6 +16,7 @@ from choicelattice import (
     GuardError,
     PrimitiveOrderings,
     enumerate_rational,
+    gen_random_model,
     is_chain,
     is_lattice,
     is_mixture_closed,
@@ -29,7 +31,8 @@ from choicelattice.core import order_ranks
 from choicelattice.models import BLOCK_WORDS, _theta_fault
 
 from brute import (all_choice_functions, all_orderings, compare_picks,
-                   is_single_crossing, join_picks, meet_picks)
+                   is_single_crossing, join_picks, meet_picks,
+                   random_model_by_choice)
 from conftest import ABC, RATIONAL3, THETA3, fn, model, random_ordering
 
 
@@ -306,6 +309,42 @@ class TestEnumerateRational:
     def test_guard(self):
         with pytest.raises(GuardError):
             enumerate_rational(ChoiceDomain.full("abcdefg"))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_maximizers_of_every_order(self, n):
+        # the prefix walk against one maximizer per order, on the full
+        # domain (n! functions) and on random partial ones
+        alts = "abcdef"[:n]
+        rng = random.Random(600 + n)
+        domains = [ChoiceDomain.full(alts)] + [
+            _partial_domain(rng, alts) for _ in range(3)]
+        orders = all_orderings(alts)
+        for domain in domains:
+            expected = {_maximizer(domain, order).picks for order in orders}
+            assert enumerate_rational(domain).picks_set() == expected
+        assert len(enumerate_rational(domains[0])) == math.factorial(n)
+
+
+def _partial_domain(rng, alts):
+    sets = [s for k in range(2, len(alts) + 1)
+            for s in itertools.combinations(alts, k)]
+    return ChoiceDomain.from_symbols(alts, rng.sample(sets, rng.randint(1, len(sets))))
+
+
+class TestRandomModel:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_draws_are_those_of_rng_choice(self, n):
+        # gen_random_model writes out the draw of rng.choice; the models a
+        # seed gives, and so the CLI's golden output, must not change
+        alts = "abcdef"[:n]
+        rng = random.Random(700 + n)
+        for domain in [ChoiceDomain.full(alts)] + [
+                _partial_domain(rng, alts) for _ in range(3)]:
+            total = math.prod(map(len, domain.sets))
+            for seed in (0, 1, 5, 12345):
+                size = min(total, rng.randint(1, 60))
+                assert (gen_random_model(seed, domain, size).picks_set()
+                        == random_model_by_choice(seed, domain, size))
 
 
 class TestTheta:

@@ -38,7 +38,10 @@ from choicelattice.models import _theta_fault
 from choicelattice.random_choice import (
     _assert_chain_in_theta,
     _assert_decreasing_chain,
+    _block_marschak,
     _cumulatives,
+    _fiorini,
+    _flow_cells,
     _slots_in_order,
     _slots_in_rankings,
     _sweep,
@@ -55,7 +58,7 @@ from brute import (
     fraction_sweep,
     theta_escape,
 )
-from conftest import ABC, fn, random_ordering
+from conftest import ABC, RATIONAL3, fn, random_ordering
 
 F = Fraction
 
@@ -457,8 +460,10 @@ class TestReducedDelta:
 
     def test_rows_skip_the_first_supported_member(self, dom3, lp_calls):
         # no mass on a anywhere: one row at {a, b, c} (for c) and one at
-        # {b, c} (for c), the sets with a single supported member give none
-        rational = enumerate_rational(dom3)
+        # {b, c} (for c), the sets with a single supported member give none;
+        # the rational model less aaab, which rho does not use, so that the
+        # question goes to the system
+        rational = ChoiceModel.from_strings(dom3, RATIONAL3 - {"aaab"})
         rho = compose({fn(dom3, "bbcb"): F(1, 3), fn(dom3, "cbcc"): F(2, 3)})
         ok, weights = in_delta(rho, rational)
         assert ok
@@ -485,6 +490,8 @@ class TestRandomUtility:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_rational_mixtures_are_the_nonnegative_polynomials(self, n):
+        # both sides by brute force: the full simplex over the rational
+        # model, not in_delta, which decides this model by the polynomials
         dom = ChoiceDomain.full("abcde"[:n])
         rational = enumerate_rational(dom)
         rng = random.Random(1978 + n)
@@ -494,7 +501,7 @@ class TestRandomUtility:
             if trial % 2:
                 chosen[-1] = self._theta_member(rng, dom, rational)
             rho = _mixture(rng, chosen)
-            ok = in_delta(rho, rational)[0]
+            ok = delta_unreduced(rho, rational)[0]
             assert ok is all(k >= 0 for k in block_marschak(rho).values())
             answers.append(ok)
         assert answers.count(True) >= 3 and answers.count(False) >= 3
@@ -512,6 +519,122 @@ class TestRandomUtility:
                 grank = order_ranks(ordering.global_order, dom.n)
                 assert _theta_fault(c.picks, dom.removals, grank) is None
                 return c
+
+
+class TestBlockMarschakRoute:
+    """``in_delta`` against the rational model: Block-Marschak polynomials
+    in ``int`` units and Fiorini's flow certificate, with no simplex."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_polynomials_equal_the_superset_sums(self, n):
+        dom = ChoiceDomain.full("abcdefg"[:n])
+        rng = random.Random(2004 + n)
+        # a random RCF, and a point mass on the maximizer of a > b > ...
+        for rho in (random_rcf(dom, rng),
+                    deterministic(ChoiceFunction(dom, tuple(s[0] for s in dom.sets)))):
+            common, units = rho._scaled
+            flow = _block_marschak(dom, common, units)
+            found = {}
+            for cell in _flow_cells(dom)[1]:  # cell A n + x holds K(x, A)
+                a, x = divmod(cell, n)
+                members = dom.symbols(y for y in range(n) if a >> y & 1)
+                found[(dom.alternatives[x], frozenset(members))] = F(
+                    flow[cell], common)
+            assert found == block_marschak(rho)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_verdict_equals_the_unreduced_system(self, n, lp_calls):
+        dom = ChoiceDomain.full("abcde"[:n])
+        rational = enumerate_rational(dom)
+        rng = random.Random(1449 + n)
+        answers = []
+        for trial in range(8):
+            chosen = rng.sample(rational.functions, rng.randint(2, 5))
+            if trial % 2:
+                chosen[-1] = TestRandomUtility._theta_member(rng, dom, rational)
+            rho = _mixture(rng, chosen)
+            del lp_calls[:]
+            ok, weights = in_delta(rho, rational)
+            assert lp_calls == []
+            assert ok is delta_unreduced(rho, rational)[0]
+            if ok:
+                _assert_certificate(weights, rational, rho)
+            else:
+                assert weights is None
+            answers.append(ok)
+        assert answers.count(True) >= 3 and answers.count(False) >= 3
+
+    def test_certificates_at_n6(self, lp_calls):
+        # checked by the certificate alone: 720 rational functions
+        dom = ChoiceDomain.full("abcdef")
+        rational = enumerate_rational(dom)
+        rng = random.Random(6)
+        for size in (1, 2, 4, 6, 9):
+            rho = _mixture(rng, rng.sample(rational.functions, size))
+            ok, weights = in_delta(rho, rational)
+            assert ok
+            _assert_certificate(weights, rational, rho)
+        # and a join or meet of two rational functions, outside them
+        other = TestRandomUtility._theta_member(rng, dom, rational)
+        assert in_delta(deterministic(other), rational) == (False, None)
+        assert lp_calls == []
+
+    def test_non_rational_theta_members_fail(self, dom4, lp_calls):
+        # the choice-overload behaviours: point masses on the members of
+        # theta(abcd) that no order rationalizes pass the random theta
+        # axioms, yet some Block-Marschak polynomial is negative
+        order = tuple("abcd")
+        tm = theta_model(dom4, order)
+        rational = enumerate_rational(dom4)
+        outside = [c for c in tm if c not in rational]
+        assert len(outside) == 502
+        for c in outside:
+            rho = deterministic(c)
+            assert satisfies_rtheta(rho, order)[0]
+            assert in_delta(rho, rational) == (False, None)
+            assert min(block_marschak(rho).values()) < 0
+        for c in rational:
+            assert in_delta(deterministic(c), rational) == (True, {c: 1})
+        assert lp_calls == []
+
+    def test_larger_model_goes_to_the_system(self, dom4, lp_calls):
+        # theta(abcd) holds every rational function and more; rho lies in
+        # Delta(theta) but is no random utility, and the system says yes
+        tm = theta_model(dom4, tuple("abcd"))
+        rational = enumerate_rational(dom4)
+        rng = random.Random(18)
+        chosen = rng.sample(rational.functions, 2) + [
+            c for c in tm if c not in rational][::100]
+        rho = _mixture(rng, chosen)
+        assert min(block_marschak(rho).values()) < 0
+        ok, weights = in_delta(rho, tm)
+        assert ok and len(lp_calls) == 1
+        _assert_certificate(weights, tm, rho)
+
+    def test_other_models_of_n_factorial_members_go_to_the_system(
+            self, dom3, lp_calls):
+        # six members, yet not the rational model of a full domain: the
+        # rational model of the pairs, whose six orders give six functions
+        # but whose polynomials would need {a, b, c}; and the full domain's
+        # rational model with aaab swapped for baab, a member of theta
+        pairs = ChoiceDomain.from_symbols("abc", [["a", "b"], ["a", "c"],
+                                                  ["b", "c"]])
+        swapped = ChoiceModel.from_strings(dom3, RATIONAL3 - {"aaab"} | {"baab"})
+        for m in (enumerate_rational(pairs), swapped):
+            assert len(m) == math.factorial(3)
+            rho = _mixture(random.Random(3), m.functions)
+            del lp_calls[:]
+            ok, weights = in_delta(rho, m)
+            assert ok and len(lp_calls) == 1
+            _assert_certificate(weights, m, rho)
+
+    def test_a_dead_end_names_the_set(self, dom3):
+        # flow D = 1 out of {a, b, c} along a, and none out of {b, c}
+        flow = [0] * (3 << 3)
+        flow[7 * 3] = 1
+        with pytest.raises(AssertionError,
+                           match=r"A=\('b', 'c'\) with 1 of 1 units of mass"):
+            _fiorini(dom3, flow, 1)
 
 
 class TestRTheta:
