@@ -78,6 +78,10 @@ def _read_json(path: str | Path) -> Any:
         raise SchemaError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise SchemaError(f"{path} nests its JSON too deeply to read") from None
 
 
 def _need(obj: Any, key: str, path) -> Any:

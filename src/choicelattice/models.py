@@ -128,8 +128,23 @@ def is_lattice(model: ChoiceModel, ordering: PrimitiveOrderings
                ) -> tuple[bool, LatticeWitness | None]:
     """True iff the join and meet of every pair stay inside the model.
 
-    Pairs are taken in ``itertools.combinations`` order of the model's
-    functions, a block of rows at a time.  For rows i, ..., i + r - 1 one
+    A lattice is proved by regenerating it from its irreducibles (Birkhoff's
+    representation theorem).  Integer order of packed values is a linear
+    extension of dominance, since a better vector has no larger field.  The
+    join stage closes the members under join, worst first, and the meet
+    stage under meet, best first (``_close``).  A member already built is
+    skipped, so the members used are the model's bottom and its
+    join-irreducibles, or its top and its meet-irreducibles.  A sublattice
+    of the product of the sets' chains has at most l = sum(|S| - 1)
+    irreducibles of each kind, so a stage stops, with no answer, as soon as
+    it builds a value outside the model or would use an (l + 2)-th member.
+    When both stages stay inside, the model is closed under both operations
+    and each stage took at most (l + 1) |M| operations, not |M|^2 / 2.  The
+    worst case is a chain: every member but the bottom is irreducible.
+
+    Only a model that is not a lattice is scanned for its witness, pair by
+    pair in ``itertools.combinations`` order of the model's functions, a
+    block of rows at a time.  For rows i, ..., i + r - 1 one
     ``PackedRanks.join`` and one ``meet`` combine every later member with
     its row's member, in the word-stride layout of ``PackedRanks``, and
     the joins and meets are tested against the member keys in C.  A block
@@ -141,8 +156,14 @@ def is_lattice(model: ChoiceModel, ordering: PrimitiveOrderings
     """
     _same_domain(model, ordering)
     packed = ordering.packed
-    m, size = len(model.functions), 8 * packed.words
     values = [packed.pack(c.picks) for c in model.functions]
+    within = set(values)
+    ascending = sorted(values)
+    limit = 1 + sum(len(s) - 1 for s in model.domain.sets)
+    if (_close(ascending[::-1], packed.join, within, limit) is not None
+            and _close(ascending, packed.meet, within, limit) is not None):
+        return True, None
+    m, size = len(model.functions), 8 * packed.words
     vectors = [v.to_bytes(size, "little") for v in values]
     blob = b"".join(vectors)
     members = set(packed.keys(int.from_bytes(blob, "little"), m))
@@ -171,7 +192,7 @@ def is_lattice(model: ChoiceModel, ordering: PrimitiveOrderings
             return False, LatticeWitness(
                 model.functions[i], model.functions[j], kind,
                 ChoiceFunction(model.domain, packed.unpack(escapee)))
-    return True, None
+    raise AssertionError("a model that generation rejects has an escaping pair")
 
 
 def lattice_closure(model: ChoiceModel,
@@ -182,32 +203,55 @@ def lattice_closure(model: ChoiceModel,
     sublattice generated by G is the join-closure of the meet-closure M of G
     (Birkhoff): (a1 v ... v ai) ^ (b1 v ... v bj) is the join of the meets
     ak ^ bl, each of which lies in M.  The meet stage combines only with
-    G and the join stage only with M, so a closure L costs at most
-    |M| |G| + |L| |M| operations, not |L|^2.  Either stage raises a
+    G.  The join stage takes M worst first and skips a member already built,
+    so it combines only with the bottom and the join-irreducibles of the
+    closure L, each of which lies in M.  A closure costs at most
+    |M| |G| + (|J(L)| + 1) |L| operations, not |L|^2.  Either stage raises a
     ``GuardError`` once it holds more than ``CLOSURE_GUARD`` members.
     """
     _same_domain(model, ordering)
     packed = ordering.packed
     gens = [packed.pack(c.picks) for c in model.functions]
-    closed = _close(_close(gens, packed.meet), packed.join)
+    meets = _close(gens, packed.meet)
+    closed = _close(sorted(meets, reverse=True), packed.join)
     return ChoiceModel.from_picks(model.domain, map(packed.unpack, closed))
 
 
-def _close(generators: list[int], op) -> list[int]:
+def _close(generators: Iterable[int], op, within: set[int] | None = None,
+           limit: float = math.inf) -> list[int] | None:
     """Everything ``op`` builds from the generators, in order of discovery.
 
     Adds one generator g at a time: what g1, ..., gi build is what
     g1, ..., g(i-1) build, plus gi, plus gi combined with each of those.
-    The size guard is checked once per generator.
+    A generator already built adds nothing and is skipped.  Given in a
+    linear extension of the order, from the end that ``op`` moves away
+    from (worst first for the join, best first for the meet), a generator
+    is built already iff it is ``op`` of generators before it, so the
+    generators used are the first and the irreducibles of what they build.
+    Each costs one operation per item built before it: a lattice L costs
+    at most (|J(L)| + 1) |L| operations, J(L) its irreducibles under ``op``.
+
+    Returns None when more than ``limit`` generators would be used, or as
+    soon as a value built falls outside ``within``.  Without ``within``,
+    the size guard is checked once per generator.
     """
     items: list[int] = []
     seen: set[int] = set()
+    used = 0
     for g in generators:
-        for c in [g] + [op(a, g) for a in items]:
+        if g in seen:
+            continue
+        used += 1
+        if used > limit:
+            return None
+        built = [g] + [op(a, g) for a in items]
+        if within is not None and not within.issuperset(built):
+            return None
+        for c in built:
             if c not in seen:
                 seen.add(c)
                 items.append(c)
-        if len(items) > CLOSURE_GUARD:
+        if within is None and len(items) > CLOSURE_GUARD:
             raise GuardError(f"lattice_closure: {len(items):,} members exceed "
                              f"the guard of {CLOSURE_GUARD:,}")
     return items

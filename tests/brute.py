@@ -16,7 +16,8 @@ decomposition chain (``compare_picks`` on every consecutive pair,
 ``_theta_fault`` on every component) as the references for its
 incremental certificate checks.  The tuple loops ``compare_picks``,
 ``join_picks`` and ``meet_picks`` are the references for the package's
-packed pick-vector operations.  ``delta_unreduced`` decides Delta(M)
+packed pick-vector operations, and ``join_irreducibles`` reads a lattice's
+irreducibles off its covers.  ``delta_unreduced`` decides Delta(M)
 membership on the full linear system, with no reduction to the RCF's
 support, and ``block_marschak`` writes out every Block-Marschak polynomial
 as its literal superset sum.  ``random_model_by_choice`` draws a seeded
@@ -82,6 +83,20 @@ def meet_picks(p1, p2, rank) -> tuple[int, ...]:
     """The worse pick at every set."""
     return tuple(x if rank[s][x] > rank[s][y] else y
                  for s, (x, y) in enumerate(zip(p1, p2)))
+
+
+def join_irreducibles(members: Iterable[tuple[int, ...]],
+                      rank: Sequence[Sequence[int]]) -> frozenset[tuple[int, ...]]:
+    """The members with exactly one lower cover: a worse member with no
+    member strictly between.  In a lattice these are its join-irreducibles;
+    under the ranks negated they are its meet-irreducibles."""
+    members = list(members)
+    below = {p: {q for q in members
+                 if compare_picks(p, q, rank) is Comparison.DOMINATES}
+             for p in members}
+    return frozenset(
+        p for p in members
+        if sum(not any(q in below[r] for r in below[p]) for q in below[p]) == 1)
 
 
 def all_choice_functions(domain: ChoiceDomain) -> ChoiceModel:

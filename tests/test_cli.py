@@ -389,6 +389,26 @@ def test_closure_guard_exits_3(workdir, capsys):
     assert err.endswith(" members exceed the guard of 20,000\n")
 
 
+UNREADABLE = {
+    "not_utf8": (b"\xff\xfe{}", "is not UTF-8 text: 'utf-8' codec can't decode "
+                 "byte 0xff in position 0: invalid start byte"),
+    "deep": (b"[" * 200_000 + b"]" * 200_000,
+             "nests its JSON too deeply to read"),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "bad.json", "ord.json", "--lattice"],
+    ["check", "theta.json", "bad.json", "--lattice"],
+    ["decompose", "bad.json", "ord.json"],
+], ids=["model", "orderings", "rcf"])
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+def test_unreadable_json_exits_2(workdir, capsys, kind, argv):
+    content, message = UNREADABLE[kind]
+    (workdir / "bad.json").write_bytes(content)
+    assert _run(capsys, argv) == (2, "", f"error: bad.json {message}\n")
+
+
 def test_respelt_functions_load_to_the_canonical_model(workdir):
     canonical = cli.load_model("rational_explicit.json")
     assert cli.load_model("rational_respelt.json") == canonical

@@ -31,8 +31,8 @@ from choicelattice.core import order_ranks
 from choicelattice.models import BLOCK_WORDS, _theta_fault
 
 from brute import (all_choice_functions, all_orderings, compare_picks,
-                   is_single_crossing, join_picks, meet_picks,
-                   random_model_by_choice)
+                   is_single_crossing, join_irreducibles, join_picks,
+                   meet_picks, random_model_by_choice)
 from conftest import ABC, RATIONAL3, THETA3, fn, model, random_ordering
 
 
@@ -78,6 +78,46 @@ def _closure_of_size(rng, domain, ordering, low, high):
         closed = lattice_closure(ChoiceModel.from_picks(domain, gens), ordering)
         if low <= len(closed) <= high:
             return closed
+
+
+def _counting(ordering):
+    """An equal ordering whose packed join and meet record the second
+    operand of every scalar call, by operation."""
+    packed = ordering.packed
+    seconds = {"join": [], "meet": []}
+
+    def counted(kind):
+        op = getattr(packed, kind)
+
+        def call(a, b, *guard):
+            if not guard:
+                seconds[kind].append(b)
+            return op(a, b, *guard)
+        return call
+
+    copy = PrimitiveOrderings(ordering.domain, ordering.per_set,
+                              ordering.global_order)
+    copy.__dict__["packed"] = packed._replace(join=counted("join"),
+                                              meet=counted("meet"))
+    return copy, seconds
+
+
+def _length(domain):
+    """l = sum(|S| - 1): the length of the product of the sets' chains."""
+    return sum(len(s) - 1 for s in domain.sets)
+
+
+def _maximal_chain(domain):
+    """From the worst pick vector to the best under the alphabetical order,
+    one step at one set at a time: l + 1 members."""
+    sets = domain.sets
+    c = [s[-1] for s in sets]
+    chain = [tuple(c)]
+    for si, s in enumerate(sets):
+        while c[si] != s[0]:
+            c[si] = s[s.index(c[si]) - 1]
+            chain.append(tuple(c))
+    return ChoiceModel.from_picks(domain, chain)
 
 
 @functools.cache
@@ -160,7 +200,17 @@ class TestPackedEngine:
                   ChoiceModel(domain, fns[middle:middle + 2])]
         models += [ChoiceModel(domain, fns[:i] + fns[i + 1:])
                    for i in (0, middle, size - 1)]
-        for m in models:
+        cases = [(m, ordering) for m in models]
+        if n == 4 and not per_set:
+            # theta(abcd), 526 members, less the same three positions
+            theta = theta_model(domain, "abcd").functions
+            alphabetical = PrimitiveOrderings.from_global(domain, "abcd")
+            assert is_lattice(ChoiceModel(domain, theta), alphabetical) == (
+                True, None)
+            cases += [(ChoiceModel(domain, theta[:i] + theta[i + 1:]),
+                       alphabetical)
+                      for i in (0, len(theta) // 2, len(theta) - 1)]
+        for m, ordering in cases:
             ok, witness = is_lattice(m, ordering)
             expect = _pairwise_witness(m, ordering)
             assert ok is (expect is None)
@@ -193,6 +243,90 @@ class TestPackedEngine:
         assert (witness.kind, witness.escapee.picks) == ("join", tuple(j))
         assert _pairwise_witness(m, ordering) == (
             witness.left.picks, witness.right.picks, "join", tuple(j))
+
+    @pytest.mark.parametrize("per_set", [False, True])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_lattices_are_generated_from_their_irreducibles(self, n, per_set):
+        # each stage of is_lattice, and the join stage of lattice_closure,
+        # combines with the bottom (top) and the join- (meet-) irreducibles
+        # only: the first generator makes no call, each irreducible one call
+        # per member built before it
+        rng = random.Random(400 * n + per_set)
+        domain = ChoiceDomain.full("abcde"[:n])
+        ell = _length(domain)
+        rational = list(enumerate_rational(domain).functions)
+        for trial in range(4 if n < 5 else 2):  # at n = 5, up to 166 members
+            ordering = random_ordering(rng, domain, per_set)
+            counted, seconds = _counting(ordering)
+            if trial % 2:
+                gens = ChoiceModel.from_functions(rng.sample(rational, 4))
+            else:
+                gens = ChoiceModel.from_picks(domain, [
+                    tuple(rng.choice(s) for s in domain.sets)
+                    for _ in range(4)])
+            closed = lattice_closure(gens, counted)
+            members = closed.picks_set()
+            assert members == _pairwise_closure(gens, ordering)
+            pack = ordering.packed.pack
+            joins = {pack(p) for p in join_irreducibles(members, ordering.rank)}
+            dual = [[-r for r in row] for row in ordering.rank]
+            meets = {pack(p) for p in join_irreducibles(members, dual)}
+            assert set(seconds["join"]) == joins
+            assert len(seconds["join"]) <= (len(joins) + 1) * len(closed)
+            seconds["join"].clear()
+            seconds["meet"].clear()
+            assert is_lattice(closed, counted) == (True, None)
+            assert _pairwise_witness(closed, ordering) is None
+            assert (set(seconds["join"]), set(seconds["meet"])) == (joins, meets)
+            for kind in ("join", "meet"):
+                assert len(seconds[kind]) <= (ell + 1) * len(closed)
+
+    def test_is_lattice_stops_after_l_plus_one_generators(self):
+        # the join-closure of an antichain of l + 2 members: it is closed
+        # under join, and each antichain member is join-irreducible in it,
+        # so the join stage stops before its (l + 2)-th generator having
+        # built nothing outside; the scan then finds the pairwise witness
+        domain = ChoiceDomain.full("abcd")
+        ordering = PrimitiveOrderings.from_global(domain, "abcd")
+        ell = _length(domain)
+        rng = random.Random(17)
+        # under the alphabetical order a better pick has a smaller index, so
+        # vectors of one index sum are pairwise incomparable
+        level = [p for p in itertools.product(*domain.sets) if sum(p) == 18]
+        antichain = rng.sample(level, ell + 2)
+        closed = set(antichain)
+        while True:
+            new = {join_picks(p, q, ordering.rank) for p in closed
+                   for q in closed} - closed
+            if not new:
+                break
+            closed |= new
+        m = ChoiceModel.from_picks(domain, closed)
+        counted, seconds = _counting(ordering)
+        ok, witness = is_lattice(m, counted)
+        pack = ordering.packed.pack
+        assert set(seconds["join"]) <= {pack(p) for p in antichain}
+        assert len(set(seconds["join"])) == ell
+        assert not ok and witness.kind == "meet"
+        assert _pairwise_witness(m, ordering) == (
+            witness.left.picks, witness.right.picks, "meet",
+            witness.escapee.picks)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_is_lattice_accepts_a_maximal_chain(self, n):
+        # the worst case of generation: every member but the bottom is
+        # irreducible, so each stage uses all l + 1 members and stops short
+        # of none
+        domain = ChoiceDomain.full("abcdef"[:n])
+        ordering = PrimitiveOrderings.from_global(domain, domain.alternatives)
+        chain = _maximal_chain(domain)
+        assert len(chain) == _length(domain) + 1 == {5: 50, 6: 130}[n]
+        assert is_chain(chain, ordering) == (True, None)
+        counted, seconds = _counting(ordering)
+        assert is_lattice(chain, counted) == (True, None)
+        for kind in ("join", "meet"):
+            assert len(set(seconds[kind])) == len(chain) - 1
+            assert len(seconds[kind]) == len(chain) * (len(chain) - 1) // 2
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_theta_model_equals_axiom_filter(self, n):
