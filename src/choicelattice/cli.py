@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -47,7 +46,7 @@ from .core import (
 )
 from .models import (
     ChoiceModel,
-    _rational_picks,
+    _is_rational_model,
     enumerate_rational,
     gen_random_model,
     is_chain,
@@ -389,11 +388,8 @@ def cmd_closure(args) -> int:
     ordering = load_orderings(args.orderings, model.domain)
     closed = lattice_closure(model, ordering)
     if args.oracle:
-        dom = model.domain
-        if (dom.is_full and ordering.global_order is not None
-                and len(model) == math.factorial(dom.n)
-                and model.picks_set() == _rational_picks(dom)):
-            expected = theta_model(dom, ordering.global_symbols())
+        if ordering.global_order is not None and _is_rational_model(model):
+            expected = theta_model(model.domain, ordering.global_symbols())
             if closed.picks_set() != expected.picks_set():
                 sys.stderr.write("oracle mismatch: closure of the rational "
                                  "model differs from the axiom filter\n")

@@ -10,7 +10,6 @@ deterministic.
 from __future__ import annotations
 
 import itertools
-from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -303,31 +302,15 @@ class PackedRanks(NamedTuple):
     keeps the smaller field and the meet the larger; ``weakly_better(a, b)``
     is true iff a's rank is <= b's in every field.  Works for per-set
     orderings as well as global ones.
-
-    A block lays vectors out one after another with a stride of ``words``
-    whole 64-bit words, W = ceil((width + 1) * |sets| / 64), vector t at
-    bit 64 W t, little-endian.  Fields never straddle two vectors, so
-    ``join(a, b, g)`` and ``meet(a, b, g)``, with g the guard repeated once
-    per vector, combine every pair of vectors at the same place in a and b
-    at once; the default guard gives the one-vector case.
-    ``keys(block, count)`` reads a block of ``count`` vectors back as one
-    hashable key per vector: its word when W = 1, its W-tuple of words
-    otherwise.  Keys are comparable only with keys read the same way.
     """
 
     width: int
     guard: int
-    words: int
     pack: Callable[[Sequence[int]], int]
     unpack: Callable[[int], tuple[int, ...]]
-    join: Callable[..., int]
-    meet: Callable[..., int]
+    join: Callable[[int, int], int]
+    meet: Callable[[int, int], int]
     weakly_better: Callable[[int, int], bool]
-    keys: Callable[[int, int], Iterable]
-
-
-if array("Q").itemsize != 8:
-    raise ImportError("PackedRanks blocks need 8-byte array('Q') items")
 
 
 def _packed_ranks(ordering: PrimitiveOrderings) -> PackedRanks:
@@ -335,7 +318,6 @@ def _packed_ranks(ordering: PrimitiveOrderings) -> PackedRanks:
     ones = (1 << k) - 1
     shifts = tuple(range(0, (k + 1) * len(ordering.per_set), k + 1))
     guard = sum(1 << (shift + k) for shift in shifts)
-    words = -(-(k + 1) * len(shifts) // 64)
     rank, per_set = ordering.rank, ordering.per_set
 
     def pack(picks):
@@ -349,24 +331,17 @@ def _packed_ranks(ordering: PrimitiveOrderings) -> PackedRanks:
     # g - (g >> k) widens each surviving guard bit to all ones in its field,
     # and a ^ ((a ^ b) & ge) swaps a for b in those fields.  In every field
     # the meet holds the operand that the join did not take.
-    def join(a, b, guard=guard):
+    def join(a, b):
         g = ((a | guard) - b) & guard
         return a ^ ((a ^ b) & (g - (g >> k)))
 
-    def meet(a, b, guard=guard):
-        return a ^ b ^ join(a, b, guard)
+    def meet(a, b):
+        return a ^ b ^ join(a, b)
 
     def weakly_better(a, b):
         return ((b | guard) - a) & guard == guard
 
-    def keys(block, count):
-        flat = array("Q", block.to_bytes(8 * words * count, "little"))
-        if words == 1:
-            return flat
-        return zip(*(flat[t::words] for t in range(words)))
-
-    return PackedRanks(k, guard, words, pack, unpack, join, meet, weakly_better,
-                       keys)
+    return PackedRanks(k, guard, pack, unpack, join, meet, weakly_better)
 
 
 @dataclass(frozen=True)

@@ -121,9 +121,6 @@ class MixtureWitness:
     escapee: ChoiceFunction
 
 
-BLOCK_WORDS = 2048
-
-
 def is_lattice(model: ChoiceModel, ordering: PrimitiveOrderings
                ) -> tuple[bool, LatticeWitness | None]:
     """True iff the join and meet of every pair stay inside the model.
@@ -142,17 +139,9 @@ def is_lattice(model: ChoiceModel, ordering: PrimitiveOrderings
     and each stage took at most (l + 1) |M| operations, not |M|^2 / 2.  The
     worst case is a chain: every member but the bottom is irreducible.
 
-    Only a model that is not a lattice is scanned for its witness, pair by
-    pair in ``itertools.combinations`` order of the model's functions, a
-    block of rows at a time.  For rows i, ..., i + r - 1 one
-    ``PackedRanks.join`` and one ``meet`` combine every later member with
-    its row's member, in the word-stride layout of ``PackedRanks``, and
-    the joins and meets are tested against the member keys in C.  A block
-    holds about ``BLOCK_WORDS`` words per operand, r = max(1, BLOCK_WORDS
-    // (|M| W)) rows, so memory stays bounded whatever the model's size.
-    Only a failing block is walked again, in pair order, the join before
-    the meet; the witness is its first escape, recomputed with the scalar
-    join or meet.
+    Only a model that is not a lattice is scanned for its witness: the
+    first pair in ``itertools.combinations`` order of the model's functions
+    whose join, or else whose meet, falls outside the model.
     """
     _same_domain(model, ordering)
     packed = ordering.packed
@@ -163,35 +152,14 @@ def is_lattice(model: ChoiceModel, ordering: PrimitiveOrderings
     if (_close(ascending[::-1], packed.join, within, limit) is not None
             and _close(ascending, packed.meet, within, limit) is not None):
         return True, None
-    m, size = len(model.functions), 8 * packed.words
-    vectors = [v.to_bytes(size, "little") for v in values]
-    blob = b"".join(vectors)
-    members = set(packed.keys(int.from_bytes(blob, "little"), m))
-    guard = packed.guard.to_bytes(size, "little")
-    step = max(1, BLOCK_WORDS // (m * packed.words))
-    for top in range(0, m - 1, step):
-        rows = range(top, min(top + step, m - 1))
-        later = b"".join([blob[(i + 1) * size:] for i in rows])
-        own = b"".join([vectors[i] * (m - 1 - i) for i in rows])
-        count = len(later) // size
-        a, b, g = (int.from_bytes(x, "little")
-                   for x in (later, own, guard * count))
-        joins, meets = packed.join(a, b, g), packed.meet(a, b, g)
-        if (members.issuperset(packed.keys(joins, count))
-                and members.issuperset(packed.keys(meets, count))):
-            continue
-        results = zip(packed.keys(joins, count), packed.keys(meets, count))
-        pairs = ((i, j) for i in rows for j in range(i + 1, m))
-        for (i, j), (join_key, meet_key) in zip(pairs, results):
-            if join_key not in members:
-                kind, escapee = "join", packed.join(values[i], values[j])
-            elif meet_key not in members:
-                kind, escapee = "meet", packed.meet(values[i], values[j])
-            else:
-                continue
-            return False, LatticeWitness(
-                model.functions[i], model.functions[j], kind,
-                ChoiceFunction(model.domain, packed.unpack(escapee)))
+    ops = (("join", packed.join), ("meet", packed.meet))
+    for (i, a), (j, b) in itertools.combinations(enumerate(values), 2):
+        for kind, op in ops:
+            escapee = op(a, b)
+            if escapee not in within:
+                return False, LatticeWitness(
+                    model.functions[i], model.functions[j], kind,
+                    ChoiceFunction(model.domain, packed.unpack(escapee)))
     raise AssertionError("a model that generation rejects has an escaping pair")
 
 
@@ -276,6 +244,14 @@ def enumerate_rational(domain: ChoiceDomain) -> ChoiceModel:
     if domain.n > ENUMERATION_GUARD_N:
         raise GuardError(f"rational enumeration is guarded at n <= {ENUMERATION_GUARD_N}")
     return ChoiceModel.from_picks(domain, _rational_picks(domain))
+
+
+def _is_rational_model(model: ChoiceModel) -> bool:
+    """True iff the model holds the maximizer of every strict order of a
+    full domain, and nothing else."""
+    dom = model.domain
+    return (dom.is_full and len(model) == math.factorial(dom.n)
+            and model.picks_set() == _rational_picks(dom))
 
 
 @lru_cache(maxsize=8)

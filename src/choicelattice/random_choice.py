@@ -26,7 +26,7 @@ from .core import (
     _same_domain,
     order_ranks,
 )
-from .models import ChoiceModel, _rational_picks, _theta_fault
+from .models import ChoiceModel, _is_rational_model, _theta_fault
 from .oracle import exact_feasible
 
 ZERO = Fraction(0)
@@ -423,8 +423,7 @@ def in_delta(rcf: RandomChoiceFunction, model: ChoiceModel
         raise GuardError(f"in_delta: {len(model):,} model functions exceed "
                          f"the guard of {DELTA_GUARD:,}")
     common, units = rcf._scaled
-    if (len(model) == math.factorial(dom.n) and dom.is_full
-            and model.picks_set() == _rational_picks(dom)):
+    if _is_rational_model(model):
         flow = _block_marschak(dom, common, units)
         if min(map(flow.__getitem__, _flow_cells(dom)[1])) < 0:
             return False, None

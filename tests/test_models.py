@@ -28,7 +28,7 @@ from choicelattice import (
 )
 
 from choicelattice.core import order_ranks
-from choicelattice.models import BLOCK_WORDS, _theta_fault
+from choicelattice.models import _close, _theta_fault
 
 from brute import (all_choice_functions, all_orderings, compare_picks,
                    is_single_crossing, join_irreducibles, join_picks,
@@ -89,10 +89,9 @@ def _counting(ordering):
     def counted(kind):
         op = getattr(packed, kind)
 
-        def call(a, b, *guard):
-            if not guard:
-                seconds[kind].append(b)
-            return op(a, b, *guard)
+        def call(a, b):
+            seconds[kind].append(b)
+            return op(a, b)
         return call
 
     copy = PrimitiveOrderings(ordering.domain, ordering.per_set,
@@ -182,19 +181,16 @@ class TestPackedEngine:
 
     @pytest.mark.parametrize("per_set", [False, True])
     @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_is_lattice_blocks_match_pairwise_scan(self, n, per_set):
-        # closures of over 100 members span many blocks of rows; a model
-        # less the member at the first, a middle or the last position
-        # escapes where that member was built
+    def test_large_closure_witnesses_match_pairwise_scan(self, n, per_set):
+        # closures of over 100 members; a model less the member at the
+        # first, a middle or the last position escapes where that member
+        # was built
         rng = random.Random(300 * n + per_set)
         domain = ChoiceDomain.full("abcdef"[:n])
         ordering = random_ordering(rng, domain, per_set)
-        words = ordering.packed.words
-        assert words == {4: 1, 5: 2, 6: 4}[n]
         closed = _closure_of_size(rng, domain, ordering, 100, 200)
         fns = closed.functions
         size, middle = len(fns), len(fns) // 2
-        assert BLOCK_WORDS // (size * words) < size // 4  # four blocks or more
         assert is_lattice(closed, ordering) == (True, None)
         models = [ChoiceModel(domain, fns[:1]),
                   ChoiceModel(domain, fns[middle:middle + 2])]
@@ -221,8 +217,7 @@ class TestPackedEngine:
     def test_is_lattice_finds_an_escape_at_the_last_pair(self):
         # a chain strictly below j, then p and q with join j: under the
         # alphabetical order a rank is the alternative's index, so the chain
-        # sorts first and (p, q) is the last pair, at n = 6 (four words per
-        # vector) in the last of many blocks
+        # sorts first and (p, q) is the last pair, at n = 6
         domain = ChoiceDomain.full("abcdef")
         ordering = PrimitiveOrderings.from_global(domain, domain.alternatives)
         sets = domain.sets
@@ -236,7 +231,7 @@ class TestPackedEngine:
                 chain.append(tuple(c))
                 c[si] = s[s.index(c[si]) + 1]
         m = ChoiceModel.from_picks(domain, chain + [tuple(p), tuple(q)])
-        assert len(m) == 129 and BLOCK_WORDS // (129 * 4) < 127
+        assert len(m) == 129
         ok, witness = is_lattice(m, ordering)
         assert not ok
         assert (witness.left, witness.right) == m.functions[-2:]
@@ -285,7 +280,7 @@ class TestPackedEngine:
         # the join-closure of an antichain of l + 2 members: it is closed
         # under join, and each antichain member is join-irreducible in it,
         # so the join stage stops before its (l + 2)-th generator having
-        # built nothing outside; the scan then finds the pairwise witness
+        # built nothing outside; the pair scan then finds the meet witness
         domain = ChoiceDomain.full("abcd")
         ordering = PrimitiveOrderings.from_global(domain, "abcd")
         ell = _length(domain)
@@ -303,14 +298,31 @@ class TestPackedEngine:
             closed |= new
         m = ChoiceModel.from_picks(domain, closed)
         counted, seconds = _counting(ordering)
-        ok, witness = is_lattice(m, counted)
         pack = ordering.packed.pack
+        values = [pack(c.picks) for c in m.functions]
+        assert _close(sorted(values, reverse=True), counted.packed.join,
+                      set(values), ell + 1) is None
         assert set(seconds["join"]) <= {pack(p) for p in antichain}
         assert len(set(seconds["join"])) == ell
+        ok, witness = is_lattice(m, ordering)
         assert not ok and witness.kind == "meet"
         assert _pairwise_witness(m, ordering) == (
             witness.left.picks, witness.right.picks, "meet",
             witness.escapee.picks)
+
+    @pytest.mark.parametrize("per_set", [False, True])
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_is_lattice_witness_on_the_rational_model(self, n, per_set):
+        # the rational model is what the CLI's failing check --lattice
+        # scans for its witness at n = 5 and 6
+        rng = random.Random(500 * n + per_set)
+        domain = ChoiceDomain.full("abcdef"[:n])
+        rational = enumerate_rational(domain)
+        ordering = random_ordering(rng, domain, per_set)
+        ok, witness = is_lattice(rational, ordering)
+        assert not ok
+        assert (witness.left.picks, witness.right.picks, witness.kind,
+                witness.escapee.picks) == _pairwise_witness(rational, ordering)
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_is_lattice_accepts_a_maximal_chain(self, n):
