@@ -46,6 +46,8 @@ from .core import (
 )
 from .models import (
     ChoiceModel,
+    _guard_rational,
+    _guard_theta,
     _is_rational_model,
     enumerate_rational,
     gen_random_model,
@@ -81,6 +83,9 @@ def _read_json(path: str | Path) -> Any:
         raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
     except RecursionError:
         raise SchemaError(f"{path} nests its JSON too deeply to read") from None
+    except ValueError:  # an integer past the digit limit of int()
+        raise SchemaError(f"{path} holds an integer of more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _need(obj: Any, key: str, path) -> Any:
@@ -107,8 +112,14 @@ def _second_entry(path, members: Sequence[str], where: str) -> SchemaError:
 
 
 def _parse_fraction(text: Any, path) -> Fraction:
+    spelt = str(text)
     try:
-        return Fraction(str(text))
+        if "e" in spelt.lower():  # Fraction would build 10 ** exponent
+            exponent = int(spelt.lower().rpartition("e")[2])
+            limit = sys.get_int_max_str_digits()
+            if 0 < limit < abs(exponent):
+                raise ValueError(f"exponent {exponent} is past the limit of {limit}")
+        return Fraction(spelt)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"{path}: bad rational {text!r} ({exc})") from None
 
@@ -438,6 +449,11 @@ def cmd_hasse(args) -> int:
 
 def cmd_generate(args) -> int:
     alternatives = [a for a in args.alternatives.split(",") if a]
+    # the guards read n alone: refuse it before building 2^n sets
+    if args.kind == "rational":
+        _guard_rational(len(alternatives))
+    elif args.kind == "theta":
+        _guard_theta(len(alternatives))
     domain = ChoiceDomain.full(alternatives)
     if args.kind == "random":
         model = gen_random_model(args.seed, domain, args.size)
@@ -507,10 +523,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except SchemaError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_SCHEMA
-    except DomainMismatchError as exc:
+    except (SchemaError, DomainMismatchError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SCHEMA
     except ChoiceError as exc:

@@ -158,49 +158,42 @@ def agreeing_orderings(relation: BetweennessRelation
                        ) -> Iterator[tuple[str, ...]]:
     """Every full order agreeing with the relation, by backtracking.
 
-    Ranks are assigned best-first in lexicographic branch order, and orders
-    are yielded in that order; a partial assignment is pruned as soon as
-    some triple can no longer sit with its middle strictly between the
-    outer pair.  Deciding whether any order exists is NP-complete in
-    general (Opatrny's total ordering problem), so callers bound n.
+    Alternatives are placed best-first in lexicographic branch order, and
+    orders are yielded in that order.  Each lands below every placed one
+    and above every unplaced one, so a triple is checked when one of its
+    alternatives is placed: its middle needs exactly one end placed, and an
+    end fails it when the other end is placed and the middle is not.
+    Deciding whether any order exists is NP-complete in general (Opatrny's
+    total ordering problem), so callers bound n.
     """
     alts = relation.alternatives
     n = len(alts)
-    constraints = tuple(relation.triples)
-    pos: dict[int, int] = {}
-
-    def consistent() -> bool:
-        for y, (x, z) in constraints:
-            py, px, pz = pos.get(y), pos.get(x), pos.get(z)
-            if py is not None:
-                placed_ends = [p for p in (px, pz) if p is not None]
-                # every unplaced element lands below all placed ones
-                if len(placed_ends) == 0:
-                    return False
-                if len(placed_ends) == 1 and placed_ends[0] > py:
-                    return False
-                if len(placed_ends) == 2 and not (
-                        min(placed_ends) < py < max(placed_ends)):
-                    return False
-            elif px is not None and pz is not None:
-                return False  # middle would land below both ends
-        return True
-
+    naming: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for y, (x, z) in relation.triples:
+        for a in (y, x, z):
+            naming[a].append((y, x, z))
+    placed = [False] * n
     order: list[int] = []
+
+    def fits(a: int) -> bool:
+        for y, x, z in naming[a]:  # x + z - a is the other end
+            if (placed[x] == placed[z] if a == y
+                    else placed[x + z - a] and not placed[y]):
+                return False
+        return True
 
     def extend() -> Iterator[tuple[str, ...]]:
         if len(order) == n:
             yield tuple(alts[i] for i in order)
             return
-        for x in range(n):
-            if x in pos:
+        for a in range(n):
+            if placed[a] or not fits(a):
                 continue
-            pos[x] = len(order)
-            order.append(x)
-            if consistent():
-                yield from extend()
+            placed[a] = True
+            order.append(a)
+            yield from extend()
             order.pop()
-            del pos[x]
+            placed[a] = False
 
     yield from extend()
 
@@ -216,14 +209,13 @@ def identify_primitive(model: ChoiceModel
     (S, x) under an order exactly when y is not strictly between x and y',
     and (y; x, y') is the triple ``betweenness`` records.  So the model lies
     in theta of an order iff the order agrees with the model's betweenness,
-    and the answer is every agreeing order, sorted, or none when B1-B3 fail.
+    and the answer is every agreeing order, sorted.  An agreeing order
+    implies B1 (a line puts one of three points between the other two), B2
+    and B3 (where four points sit on a line), so the search alone decides.
     """
     dom = model.domain
     dom.require_full("primitive-ordering identification")
     if dom.n > IDENTIFY_GUARD_N:
         raise GuardError(f"identification is guarded at n <= {IDENTIFY_GUARD_N}")
     relation = betweenness(model)
-    report = check_axioms(relation)
-    if not report.all_b123():
-        return (), report
-    return tuple(sorted(agreeing_orderings(relation))), report
+    return tuple(sorted(agreeing_orderings(relation))), check_axioms(relation)

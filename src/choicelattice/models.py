@@ -239,10 +239,14 @@ def is_chain(model: ChoiceModel, ordering: PrimitiveOrderings
     return True, None
 
 
+def _guard_rational(n: int) -> None:
+    if n > ENUMERATION_GUARD_N:
+        raise GuardError(f"rational enumeration is guarded at n <= {ENUMERATION_GUARD_N}")
+
+
 def enumerate_rational(domain: ChoiceDomain) -> ChoiceModel:
     """All maximizer functions of all strict orders, deduplicated."""
-    if domain.n > ENUMERATION_GUARD_N:
-        raise GuardError(f"rational enumeration is guarded at n <= {ENUMERATION_GUARD_N}")
+    _guard_rational(domain.n)
     return ChoiceModel.from_picks(domain, _rational_picks(domain))
 
 
@@ -383,6 +387,13 @@ def _theta_picks(domain: ChoiceDomain,
 THETA_GUARD_N = 4
 
 
+def _guard_theta(n: int) -> None:
+    if n > THETA_GUARD_N:
+        raise GuardError(
+            f"theta_model is guarded at n <= {THETA_GUARD_N}: the model has "
+            f"over a million members at n = 5")
+
+
 def theta_model(domain: ChoiceDomain,
                 global_order: Sequence[str]) -> ChoiceModel:
     """The minimal extension of rational choice closed under join and meet.
@@ -396,10 +407,7 @@ def theta_model(domain: ChoiceDomain,
     1,035,642 at n = 5), so the guard bounds the size of the output.
     """
     domain.require_full("the minimal rational extension")
-    if domain.n > THETA_GUARD_N:
-        raise GuardError(
-            f"theta_model is guarded at n <= {THETA_GUARD_N}: the model has "
-            f"over a million members at n = 5")
+    _guard_theta(domain.n)
     order = domain.order_index(global_order)
     return ChoiceModel.from_picks(domain, _theta_picks(domain, order))
 

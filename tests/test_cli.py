@@ -9,6 +9,7 @@ where the tests run.
 
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -394,6 +395,9 @@ UNREADABLE = {
                  "byte 0xff in position 0: invalid start byte"),
     "deep": (b"[" * 200_000 + b"]" * 200_000,
              "nests its JSON too deeply to read"),
+    "long_int": (b'{"functions": [' + b"1" * 5_000 + b"]}",
+                 f"holds an integer of more than "
+                 f"{sys.get_int_max_str_digits()} digits"),
 }
 
 
@@ -407,6 +411,52 @@ def test_unreadable_json_exits_2(workdir, capsys, kind, argv):
     content, message = UNREADABLE[kind]
     (workdir / "bad.json").write_bytes(content)
     assert _run(capsys, argv) == (2, "", f"error: bad.json {message}\n")
+
+
+def _rcf_ab(p):
+    """Example 1 of the paper with its mass on a from {a, b} spelt ``p``."""
+    rest = str(1 - Fraction(str(p)))
+    return _rcf([("abc", "a", "1"), ("ab", "a", p), ("ab", "b", rest),
+                 ("ac", "a", "1"), ("bc", "b", "2/3"), ("bc", "c", THIRD)])
+
+
+@pytest.mark.parametrize("p", ["3/4", "0.5", "1e-3", 1e-07])
+def test_rcf_rational_spellings_are_read(workdir, p):
+    (workdir / "p.json").write_text(json.dumps(_rcf_ab(p)), encoding="utf-8")
+    (workdir / "q.json").write_text(json.dumps(_rcf_ab(str(Fraction(str(p))))),
+                                    encoding="utf-8")
+    assert cli.load_rcf("p.json") == cli.load_rcf("q.json")
+
+
+@pytest.mark.parametrize("p", ["1e-999999999", "1E+999999999"])
+def test_huge_exponent_is_refused_before_fraction(workdir, capsys, p):
+    # Fraction would build 10 ** 999999999 first, for far longer than a test
+    (workdir / "p.json").write_text(json.dumps(_rcf([("ab", "a", p)])),
+                                    encoding="utf-8")
+    exponent = int(p.lower().partition("e")[2])
+    assert _run(capsys, ["decompose", "p.json", "ord.json"]) == (
+        2, "", f"error: p.json: bad rational {p!r} (exponent {exponent} is "
+               f"past the limit of {sys.get_int_max_str_digits()})\n")
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("rational", "rational enumeration is guarded at n <= 6"),
+    ("theta", "theta_model is guarded at n <= 4: the model has over a million "
+              "members at n = 5"),
+], ids=["rational", "theta"])
+def test_generate_refuses_n_before_building_the_domain(capsys, monkeypatch,
+                                                       kind, message):
+    full = ChoiceDomain.full.__func__
+
+    def small_only(cls, alternatives):
+        alternatives = list(alternatives)
+        assert len(alternatives) < 20, "the 2^n-set domain was built"
+        return full(cls, alternatives)
+
+    monkeypatch.setattr(ChoiceDomain, "full", classmethod(small_only))
+    argv = ["generate", "--kind", kind,
+            "--alternatives", ",".join("abcdefghijklmnopqrst")]
+    assert _run(capsys, argv) == (3, "", f"error: {message}\n")
 
 
 def test_respelt_functions_load_to_the_canonical_model(workdir):

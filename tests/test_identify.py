@@ -208,6 +208,27 @@ class TestAgreeingOrdering:
                 assert (pos[sx] < pos[sy] < pos[sz]
                         or pos[sz] < pos[sy] < pos[sx])
 
+    def test_sequence_is_the_brute_scan(self):
+        # seeded relations, many failing B1-B3: the search yields exactly
+        # the agreeing permutations, in index-lexicographic order, and a
+        # relation failing B1-B3 has none
+        rng = random.Random(47)
+        failing = ordered = 0
+        for _ in range(200):
+            n = rng.randint(3, 7)
+            symbols = tuple("abcdefg"[:n])
+            relation = rel(symbols, *(rng.sample(symbols, 3)
+                                      for _ in range(rng.randint(0, 12))))
+            brute = tuple(tuple(symbols[i] for i in o)
+                          for o in itertools.permutations(range(n))
+                          if agrees(o, relation))
+            assert tuple(agreeing_orderings(relation)) == brute
+            if not check_axioms(relation).all_b123():
+                assert brute == ()
+                failing += 1
+            ordered += bool(brute)
+        assert failing >= 100 and ordered >= 50
+
 
 class TestIdentifyPrimitive:
     def test_theta_model_n3_all_orders(self, dom3):
@@ -380,10 +401,12 @@ class TestSingleRoute:
         assert revealing == {3, 4, 5}
 
     def test_identify_is_the_theta_scan(self, lemma_cases):
+        # with no order found, still () and the report of the betweenness
         axioms_fail = 0
         for m, scan in lemma_cases:
             orders, report = identify_primitive(m)
             assert orders == scan
+            assert report == check_axioms(betweenness(m))
             axioms_fail += not report.all_b123()
         assert axioms_fail >= 5
 
