@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -77,22 +79,51 @@ class BetweennessRelation:
 
 
 def betweenness(model: ChoiceModel) -> BetweennessRelation:
-    """Scan every member for (chosen; chosen-after-removal, removed) triples.
+    """Every (y; x, z) that a member reveals: y at S, x at S \\ {z}.
 
     Only removals whose leftover set is in the domain contribute, and the
-    three elements must be distinct.  Raw (y, x, z) triples are collected
-    first, and each distinct one is put in canonical order once.
+    three elements must be distinct.  Per set, each pick y gets a member
+    mask, an int whose byte i is 1 iff member i picks y there, so a removal
+    (S, z, S \\ {z}) reveals (y; x, z) iff the masks of y at S and of x at
+    S \\ {z} share a member: one AND per pair of picks, not one step per
+    member.  Every pick is laid out as an 8-byte little-endian unsigned
+    int, members one after another, so a strided slice gives byte d of each
+    member's pick at S, the pick's base-256 digit d, and the mask of y ANDs
+    one ``bytes.translate`` per digit (one whenever n <= 256).
     """
-    removals = model.domain.removals
-    raw = set()
-    for c in model.functions:
-        picks = c.picks
-        for si, z, sub in removals:
-            y, x = picks[si], picks[sub]
-            if x != y and z != y and z != x:
-                raw.add((y, x, z))
-    return BetweennessRelation(model.domain.alternatives,
-                               frozenset(itertools.starmap(_canonical, raw)))
+    dom = model.domain
+    digits = range(max(1, ((dom.n - 1).bit_length() + 7) // 8))
+    one_at = [bytes(b) + b"\1" + bytes(255 - b) for b in range(min(dom.n, 256))]
+    layout = array("Q", list(itertools.chain.from_iterable(model.picks_set())))
+    if sys.byteorder == "big":
+        layout.byteswap()
+    flat, size = layout.tobytes(), layout.itemsize
+    stride = len(dom.sets) * size
+    masks = []
+    for si, s in enumerate(dom.sets):
+        by_digit = [flat[si * size + d::stride] for d in digits]
+        here = {}
+        for y in s:
+            if y & 255 in by_digit[0]:  # no member picks y: one memchr
+                mask = -1
+                for d, col in zip(digits, by_digit):
+                    mask &= int.from_bytes(
+                        col.translate(one_at[y >> 8 * d & 255]), "little")
+                if mask:
+                    here[y] = mask
+        masks.append(here)
+    raw_triples = set()
+    for si, z, sub in dom.removals:
+        below = masks[sub]
+        for y, at_s in masks[si].items():
+            # the members that pick y at S and something else at S \ {z}
+            stay = at_s & below.get(y, 0)
+            if stay != at_s and y != z:
+                moved = at_s ^ stay
+                raw_triples.update((y, x, z) for x, at_sub in below.items()
+                                   if moved & at_sub)
+    return BetweennessRelation(dom.alternatives,
+                               frozenset(itertools.starmap(_canonical, raw_triples)))
 
 
 @dataclass(frozen=True)
@@ -106,9 +137,6 @@ class AxiomReport:
     b1_witness: tuple[str, ...] | None = None
     b2_witness: tuple[str, ...] | None = None
     b3_witness: tuple[str, ...] | None = None
-
-    def all_b123(self) -> bool:
-        return self.b1 and self.b2 and self.b3
 
 
 def check_axioms(relation: BetweennessRelation) -> AxiomReport:

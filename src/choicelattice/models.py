@@ -13,7 +13,7 @@ import math
 import random as _stdrandom
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 from .core import (
@@ -359,28 +359,44 @@ def satisfies_theta(c: ChoiceFunction, global_order: Sequence[str]
 @lru_cache(maxsize=8)
 def _theta_picks(domain: ChoiceDomain,
                  order: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    """Every pick vector on a full domain that passes both theta axioms.
+
+    Sets are assigned from the last position to the first, so every
+    S \\ {x} has its pick before S.  A partial assignment lists its picks in
+    that order: the pick at set position si sits at index last - si.  The
+    picks allowed at S depend only on the partial's picks at the subsets
+    S \\ {x}, its key, so each distinct key is decided once per candidate
+    pick, by the rule of ``_theta_fault``, and the memo of allowed picks
+    extends every partial with that key.
+    """
     grank = order_ranks(order, domain.n)
     sets = domain.sets
-    # Sets are assigned from the last position to the first, so every
-    # S \ {x} has its pick before S.  A partial assignment lists its picks
-    # in that order: the pick at set position si sits at index last - si.
     last = len(sets) - 1
-    # Per set and candidate pick y, the picks at each S \ {x} that
-    # _theta_fault accepts: no worse than y when x is worse than y (theta1),
-    # no better than y when x is better (theta2).
-    allowed: list[dict[int, list]] = [{y: [] for y in s} for s in sets]
-    for si, x, sub, y, _, _ in domain.comparisons:
-        ry = grank[y]
-        if ry < grank[x]:
-            ok = frozenset(z for z in sets[sub] if grank[z] <= ry)
-        else:
-            ok = frozenset(z for z in sets[sub] if grank[z] >= ry)
-        allowed[si][y].append((last - sub, ok))
+    below: list[list[tuple[int, int]]] = [[] for _ in sets]
+    for si, x, sub in domain.removals:
+        below[si].append((x, last - sub))
     partials: list[tuple[int, ...]] = [()]
     for si in range(last, -1, -1):
-        options = allowed[si].items()
-        partials = [p + (y,) for p in partials for y, checks in options
-                    if all(p[at] in ok for at, ok in checks)]
+        options = [(y,) for y in sets[si]]
+        if not below[si]:
+            partials = [p + y for p in partials for y in options]
+            continue
+        # the key holds the picks at the S \ {x} (at least three on a full
+        # domain, so itemgetter gives a tuple); a local vector y + key puts
+        # y at 0 and the pick at the i-th S \ {x} at i
+        xs, ats = zip(*below[si])
+        local = tuple((0, x, i) for i, x in enumerate(xs, 1))
+        memo: dict[tuple[int, ...], list[tuple[int]]] = {}
+
+        def allowed(key: tuple[int, ...]) -> list[tuple[int]]:
+            ys = memo.get(key)
+            if ys is None:
+                ys = memo[key] = [y for y in options if _theta_fault(
+                    y + key, local, grank) is None]
+            return ys
+
+        key_of = itemgetter(*ats)
+        partials = [p + y for p in partials for y in allowed(key_of(p))]
     return frozenset(p[::-1] for p in partials)
 
 
@@ -401,10 +417,13 @@ def theta_model(domain: ChoiceDomain,
     Enumerated by propagation: sets are assigned in increasing size, and a
     pick at S is kept only if it satisfies both theta axioms against the
     picks already made at every S \\ {x}, so no choice function outside the
-    model is ever built.  It equals the lattice closure of the rational
-    model under the order (pinned by the tests at n = 3 and 4 under every
-    order).  The model grows fast (12 members at n = 3, 526 at n = 4,
-    1,035,642 at n = 5), so the guard bounds the size of the output.
+    model is ever built.  Those picks are the partial assignment's key at
+    S, and each distinct key is checked once per candidate pick, so the
+    checks grow with the keys, not with the partial assignments.  It
+    equals the lattice closure of the rational model under the order
+    (pinned by the tests at n = 3 and 4 under every order).  The model
+    grows fast (12 members at n = 3, 526 at n = 4, 1,035,642 at n = 5), so
+    the guard bounds the size of the output.
     """
     domain.require_full("the minimal rational extension")
     _guard_theta(domain.n)

@@ -17,6 +17,7 @@ from choicelattice import (
     betweenness,
     check_axioms,
     enumerate_rational,
+    gen_random_model,
     identify_primitive,
     lattice_closure,
     satisfies_theta,
@@ -42,7 +43,7 @@ def random_b123_relation(rng, symbols, density):
             triples.append((mid, outer[0], outer[1]))
     relation = rel(symbols, *triples)
     report = check_axioms(relation)
-    return relation if report.all_b123() else None
+    return relation if report.b1 and report.b2 and report.b3 else None
 
 
 def order_induced_relation(rng, symbols, density):
@@ -108,6 +109,35 @@ class TestBetweenness:
         index = relation._index
         relation.has("a", "b", "c")
         assert relation._index is index
+
+    def test_masks_equal_the_scan_where_the_encoding_can_break(self, dom4):
+        # picks past one byte, a set of over 256 members whose picks share
+        # their low byte in pairs, one member, and 720 and 1,148 members
+        wide = ChoiceDomain(tuple(f"x{i:03d}" for i in range(300)), tuple(
+            s for base in (254, 258, 290)
+            for k in (2, 3, 4) for s in itertools.combinations(
+                range(base, base + 4), k)))
+        big = ChoiceDomain(tuple(f"y{i:03d}" for i in range(262)),
+                           (range(262), range(1, 262), (0, *range(2, 262))))
+        rng = random.Random(29)
+        twins = ChoiceModel.from_picks(big, {
+            tuple(rng.choice((2, 3, 258, 259)) for _ in big.sets)
+            for _ in range(12)})
+        dom5 = ChoiceDomain.full("abcde")
+        rational5 = enumerate_rational(dom5).functions
+        closed = lattice_closure(
+            ChoiceModel.from_picks(dom5, [c.picks for c in random.Random(3)
+                                          .sample(rational5, 8)]),
+            PrimitiveOrderings.from_global(dom5, "abcde"))
+        spread = gen_random_model(7, wide, 40)
+        assert min(map(min, spread.picks_set())) >= 254
+        assert len(closed) >= 1000
+        models = [spread, twins, model(dom4, "bbaabaaabbc"),
+                  enumerate_rational(ChoiceDomain.full("abcdef")), closed]
+        for m in models:
+            found = {(y, frozenset((x, z)))
+                     for y, x, z in betweenness(m).triples_symbols()}
+            assert found == betweenness_scan(m)
 
 
 class TestAxioms:
@@ -223,7 +253,8 @@ class TestAgreeingOrdering:
                           for o in itertools.permutations(range(n))
                           if agrees(o, relation))
             assert tuple(agreeing_orderings(relation)) == brute
-            if not check_axioms(relation).all_b123():
+            report = check_axioms(relation)
+            if not (report.b1 and report.b2 and report.b3):
                 assert brute == ()
                 failing += 1
             ordered += bool(brute)
@@ -270,7 +301,7 @@ class TestTheoremThree:
             for combo in itertools.combinations(tm, size):
                 m = ChoiceModel.from_functions(combo)
                 orders, report = identify_primitive(m)
-                assert bool(orders) == report.all_b123()
+                assert bool(orders) == (report.b1 and report.b2 and report.b3)
                 checked += 1
         assert checked == len(tm) + len(tm) * (len(tm) - 1) // 2
 
@@ -280,7 +311,7 @@ class TestTheoremThree:
         for _ in range(30):
             m = ChoiceModel.from_functions(rng.sample(tm, rng.randint(1, 4)))
             orders, report = identify_primitive(m)
-            assert bool(orders) == report.all_b123()
+            assert bool(orders) == (report.b1 and report.b2 and report.b3)
 
     def test_part_ii_constructed_rich_families(self):
         # one member per ranked triple x>y>z: the join of the y-top and
@@ -407,7 +438,7 @@ class TestSingleRoute:
             orders, report = identify_primitive(m)
             assert orders == scan
             assert report == check_axioms(betweenness(m))
-            axioms_fail += not report.all_b123()
+            axioms_fail += not (report.b1 and report.b2 and report.b3)
         assert axioms_fail >= 5
 
     def test_full_relation_gives_order_and_reverse(self):
@@ -424,6 +455,6 @@ class TestSingleRoute:
                     triples.append((y, x, z))
                 relation = rel(symbols, *triples)
                 report = check_axioms(relation)
-                assert report.sb1 and report.all_b123()
+                assert report.sb1 and report.b1 and report.b2 and report.b3
                 assert (sorted(agreeing_orderings(relation))
                         == sorted([order, order[::-1]]))

@@ -28,7 +28,7 @@ from choicelattice import (
 )
 
 from choicelattice.core import order_ranks
-from choicelattice.models import _close, _theta_fault
+from choicelattice.models import _close, _theta_fault, _theta_picks
 
 from brute import (all_choice_functions, all_orderings, compare_picks,
                    is_single_crossing, join_irreducibles, join_picks,
@@ -348,6 +348,37 @@ class TestPackedEngine:
             expect = _theta_filter(n, order)
             got = theta_model(domain, [symbols[x] for x in order])
             assert got.picks_set() == expect
+
+    def test_theta_propagation_decides_each_key_once(self, dom4, monkeypatch):
+        # the theta rule sees each (set, picks at its subsets, candidate
+        # pick) at most once, where the propagation could check every
+        # partial assignment entering a set against every candidate pick
+        calls = []
+
+        def counted(picks, removals, grank):
+            calls.append((tuple(x for _, x, _ in removals), picks[1:], picks[0]))
+            return _theta_fault(picks, removals, grank)
+
+        monkeypatch.setattr("choicelattice.models._theta_fault", counted)
+        sets = dom4.sets
+        for order in ("abcd", "cadb"):
+            calls.clear()
+            _theta_picks.cache_clear()
+            index = dom4.order_index(order)
+            assert theta_model(dom4, order).picks_set() == _theta_filter(4, index)
+            # every set with subsets, each (set, key) once per candidate
+            keys = {(xs, key) for xs, key, _ in calls}
+            assert {xs for xs, _ in keys} == {s for s in sets if len(s) > 2}
+            assert len(set(calls)) == len(calls) == sum(len(xs) for xs, _ in keys)
+            grank = order_ranks(index, 4)
+            partial_checks = 0
+            for si, s in enumerate(sets):
+                if len(s) > 2:  # the pairs of a full domain have no subsets
+                    inside = [r for r in dom4.removals if r[0] > si]
+                    partial_checks += len(s) * sum(
+                        _theta_fault((None,) * (si + 1) + tail, inside, grank)
+                        is None for tail in itertools.product(*sets[si + 1:]))
+            assert 10 * len(calls) < partial_checks
 
     def test_rational_closure_is_theta_filter_n4(self, dom4):
         """The paper's central equivalence, under all 24 orders at n = 4."""
