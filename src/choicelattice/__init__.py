@@ -43,13 +43,7 @@ from .random_choice import (
     in_delta,
     satisfies_rtheta,
 )
-from .polytope import (
-    ConstraintSystem,
-    build_constraints,
-    function_vertex,
-    heller_check,
-    vertex_function,
-)
+from .polytope import ConstraintSystem, build_constraints
 from .identify import (
     AxiomReport,
     BetweennessRelation,

@@ -454,14 +454,19 @@ def cmd_generate(args) -> int:
         _guard_rational(len(alternatives))
     elif args.kind == "theta":
         _guard_theta(len(alternatives))
-    domain = ChoiceDomain.full(alternatives)
-    if args.kind == "random":
-        model = gen_random_model(args.seed, domain, args.size)
-    elif args.kind == "rational":
-        model = enumerate_rational(domain)
-    else:  # theta
-        order = (args.order.split(">") if args.order else list(alternatives))
-        model = theta_model(domain, order)
+    # past the guards, a ChoiceError names a bad --alternatives, --size or
+    # --order: a usage error
+    try:
+        domain = ChoiceDomain.full(alternatives)
+        if args.kind == "random":
+            model = gen_random_model(args.seed, domain, args.size)
+        elif args.kind == "rational":
+            model = enumerate_rational(domain)
+        else:  # theta
+            order = (args.order.split(">") if args.order else list(alternatives))
+            model = theta_model(domain, order)
+    except ChoiceError as exc:
+        raise SchemaError(str(exc)) from None
     sys.stdout.write(_model_text(model))
     return EXIT_PASS
 

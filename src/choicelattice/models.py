@@ -95,7 +95,11 @@ class ChoiceModel:
 
 @dataclass(frozen=True)
 class LatticeWitness:
-    """A pair whose join or meet escapes the model."""
+    """A pair of members whose join or meet escapes the model.
+
+    ``left`` and ``right`` are listed in ``model.functions`` order;
+    ``escapee``, outside the model, is their join or meet, as ``kind`` says.
+    """
 
     left: ChoiceFunction
     right: ChoiceFunction
@@ -123,44 +127,40 @@ class MixtureWitness:
 
 def is_lattice(model: ChoiceModel, ordering: PrimitiveOrderings
                ) -> tuple[bool, LatticeWitness | None]:
-    """True iff the join and meet of every pair stay inside the model.
+    """True iff the join and meet of every pair stay inside the model;
+    otherwise the first escape of generation.
 
-    A lattice is proved by regenerating it from its irreducibles (Birkhoff's
-    representation theorem).  Integer order of packed values is a linear
-    extension of dominance, since a better vector has no larger field.  The
-    join stage closes the members under join, worst first, and the meet
-    stage under meet, best first (``_close``).  A member already built is
-    skipped, so the members used are the model's bottom and its
+    The model is regenerated from its members (Birkhoff's representation
+    theorem).  Integer order of packed values is a linear extension of
+    dominance, since a better vector has no larger field.  The join stage
+    closes the members under join, worst first, and then the meet stage
+    under meet, best first (``_close``).  A member already built is
+    skipped, so on a lattice the members used are its bottom and its
     join-irreducibles, or its top and its meet-irreducibles.  A sublattice
     of the product of the sets' chains has at most l = sum(|S| - 1)
-    irreducibles of each kind, so a stage stops, with no answer, as soon as
-    it builds a value outside the model or would use an (l + 2)-th member.
-    When both stages stay inside, the model is closed under both operations
-    and each stage took at most (l + 1) |M| operations, not |M|^2 / 2.  The
-    worst case is a chain: every member but the bottom is irreducible.
+    irreducibles of each kind, so each stage takes at most (l + 1) |M|
+    operations, not |M|^2 / 2.  The worst case is a chain: every member
+    but the bottom is irreducible.
 
-    Only a model that is not a lattice is scanned for its witness: the
-    first pair in ``itertools.combinations`` order of the model's functions
-    whose join, or else whose meet, falls outside the model.
+    A stage stops at its first escape, after at most |M| (|M| - 1) / 2
+    operations: the member g it was adding and the first member a built
+    before g whose join (meet) with g falls outside the model.  The
+    witness lists a and g in ``model.functions`` order.
     """
     _same_domain(model, ordering)
     packed = ordering.packed
     values = [packed.pack(c.picks) for c in model.functions]
     within = set(values)
     ascending = sorted(values)
-    limit = 1 + sum(len(s) - 1 for s in model.domain.sets)
-    if (_close(ascending[::-1], packed.join, within, limit) is not None
-            and _close(ascending, packed.meet, within, limit) is not None):
-        return True, None
-    ops = (("join", packed.join), ("meet", packed.meet))
-    for (i, a), (j, b) in itertools.combinations(enumerate(values), 2):
-        for kind, op in ops:
-            escapee = op(a, b)
-            if escapee not in within:
-                return False, LatticeWitness(
-                    model.functions[i], model.functions[j], kind,
-                    ChoiceFunction(model.domain, packed.unpack(escapee)))
-    raise AssertionError("a model that generation rejects has an escaping pair")
+    for kind, generators, op in (("join", ascending[::-1], packed.join),
+                                 ("meet", ascending, packed.meet)):
+        escape = _close(generators, op, within)[1]
+        if escape is not None:
+            left, right = sorted(map(values.index, escape))
+            return False, LatticeWitness(
+                model.functions[left], model.functions[right], kind,
+                ChoiceFunction(model.domain, packed.unpack(op(*escape))))
+    return True, None
 
 
 def lattice_closure(model: ChoiceModel,
@@ -180,14 +180,15 @@ def lattice_closure(model: ChoiceModel,
     _same_domain(model, ordering)
     packed = ordering.packed
     gens = [packed.pack(c.picks) for c in model.functions]
-    meets = _close(gens, packed.meet)
-    closed = _close(sorted(meets, reverse=True), packed.join)
+    meets = _close(gens, packed.meet)[0]
+    closed = _close(sorted(meets, reverse=True), packed.join)[0]
     return ChoiceModel.from_picks(model.domain, map(packed.unpack, closed))
 
 
-def _close(generators: Iterable[int], op, within: set[int] | None = None,
-           limit: float = math.inf) -> list[int] | None:
-    """Everything ``op`` builds from the generators, in order of discovery.
+def _close(generators: Iterable[int], op, within: set[int] | None = None
+           ) -> tuple[list[int], tuple[int, int] | None]:
+    """Everything ``op`` builds from the generators, in order of discovery,
+    and the first escape from ``within``.
 
     Adds one generator g at a time: what g1, ..., gi build is what
     g1, ..., g(i-1) build, plus gi, plus gi combined with each of those.
@@ -199,22 +200,21 @@ def _close(generators: Iterable[int], op, within: set[int] | None = None,
     Each costs one operation per item built before it: a lattice L costs
     at most (|J(L)| + 1) |L| operations, J(L) its irreducibles under ``op``.
 
-    Returns None when more than ``limit`` generators would be used, or as
-    soon as a value built falls outside ``within``.  Without ``within``,
-    the size guard is checked once per generator.
+    With ``within``, which must hold the generators, what g builds is kept
+    only if it all lies inside; at the first g that builds a value outside,
+    the items built before g are returned with the escape (a, g), a the
+    first of them with ``op(a, g)`` outside.  Without it the escape is
+    None, and the size guard is checked once per generator.
     """
     items: list[int] = []
     seen: set[int] = set()
-    used = 0
     for g in generators:
         if g in seen:
             continue
-        used += 1
-        if used > limit:
-            return None
         built = [g] + [op(a, g) for a in items]
         if within is not None and not within.issuperset(built):
-            return None
+            return items, next((a, g) for a, c in zip(items, built[1:])
+                               if c not in within)
         for c in built:
             if c not in seen:
                 seen.add(c)
@@ -222,20 +222,28 @@ def _close(generators: Iterable[int], op, within: set[int] | None = None,
         if within is None and len(items) > CLOSURE_GUARD:
             raise GuardError(f"lattice_closure: {len(items):,} members exceed "
                              f"the guard of {CLOSURE_GUARD:,}")
-    return items
+    return items, None
 
 
 def is_chain(model: ChoiceModel, ordering: PrimitiveOrderings
              ) -> tuple[bool, tuple[ChoiceFunction, ChoiceFunction] | None]:
     """True iff the comparison relation is total on the model; otherwise
-    the first incomparable pair."""
+    an incomparable pair, in ``model.functions`` order.
+
+    Integer order of packed values is a linear extension of dominance, so
+    the model is a chain iff, in that order, each member is weakly better
+    than the next: |M| - 1 comparisons.  The first consecutive pair that
+    is not is incomparable, and it is the witness.
+    """
     _same_domain(model, ordering)
     packed = ordering.packed
     values = [packed.pack(c.picks) for c in model.functions]
+    walk = sorted(range(len(values)), key=values.__getitem__)
     better = packed.weakly_better
-    for (i, a), (j, b) in itertools.combinations(enumerate(values), 2):
-        if not (better(a, b) or better(b, a)):
-            return False, (model.functions[i], model.functions[j])
+    for i, j in zip(walk, walk[1:]):
+        if not better(values[i], values[j]):
+            left, right = sorted((i, j))
+            return False, (model.functions[left], model.functions[right])
     return True, None
 
 

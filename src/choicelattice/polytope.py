@@ -1,21 +1,14 @@
 """The cumulative-monotonicity inequality system and its polytope.
 
-Materializes the five row families bounding cumulative random choice,
-checks the two-nonzero opposite-sign condition that certifies total
-unimodularity, and maps choice functions to and from the 0/1 points.
+Materializes the five row families bounding cumulative random choice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
-from .core import (ChoiceDomain, ChoiceError, ChoiceFunction, _same_domain,
-                   order_ranks)
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .core import ChoiceDomain, ChoiceError, order_ranks
 
 
 @dataclass(frozen=True)
@@ -107,59 +100,3 @@ def build_constraints(domain: ChoiceDomain,
 
     return ConstraintSystem(domain, order, columns,
                             tuple(rows), tuple(rhs), tuple(tags))
-
-
-def heller_check(system: ConstraintSystem) -> bool:
-    """Sufficient condition for total unimodularity on the transposed matrix.
-
-    With one partition class holding every row and the other empty, the
-    condition reduces to: at most two nonzeros per transposed column (per
-    original row), and any two of them with opposite signs.
-    """
-    for row in system.rows:
-        nz = [v for v in row if v != 0]
-        if any(v not in (-1, 1) for v in nz):
-            return False
-        if len(nz) > 2:
-            return False
-        if len(nz) == 2 and nz[0] == nz[1]:
-            return False
-    return True
-
-
-def function_vertex(system: ConstraintSystem,
-                    c: ChoiceFunction) -> tuple[Fraction, ...]:
-    """The 0/1 cumulative vector of a deterministic choice function,
-    in the system's column order."""
-    _same_domain(c, system)
-    grank = order_ranks(system.global_order, system.domain.n)
-    return tuple(ONE if grank[c.picks[si]] < grank[x] else ZERO
-                 for si, x in system.columns)
-
-
-def vertex_function(system: ConstraintSystem,
-                    point: Sequence[Fraction]) -> ChoiceFunction | None:
-    """Invert a 0/1 vertex to its choice function, when it is a cumulative.
-
-    Per set, a monotone 0/1 column pattern whose best-ranked entry is 0
-    encodes "pick the worst zero".  Saturated patterns (a 1 at the best
-    member of some set) are not cumulatives of any function: None.
-    """
-    dom = system.domain
-    grank = order_ranks(system.global_order, dom.n)
-    per_set: dict[int, list[tuple[int, Fraction]]] = {}
-    for (si, x), v in zip(system.columns, point):
-        per_set.setdefault(si, []).append((x, v))
-    picks = [None] * len(dom.sets)
-    for si, entries in per_set.items():
-        entries.sort(key=lambda e: grank[e[0]])
-        values = [v for _, v in entries]
-        if any(v not in (ZERO, ONE) for v in values):
-            return None
-        if any(a > b for a, b in zip(values, values[1:])):
-            return None  # not monotone down the ranking
-        if values[0] == ONE:
-            return None  # saturated: no function has weight above its best
-        picks[si] = max((x for x, v in entries if v == ZERO),
-                        key=lambda x: grank[x])
-    return ChoiceFunction(dom, tuple(picks))

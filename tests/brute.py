@@ -3,7 +3,10 @@
 Each function here answers a question by exhaustion, independently of the
 route the package takes: every choice function of a domain, every order of
 a symbol set, the vertices of the cumulative polytope by halfspace
-insertion, sampled subdeterminants of its rows, a local betweenness order
+insertion, sampled subdeterminants of its rows, the Heller condition on
+its rows and the maps between choice functions and its 0/1 points
+(``heller_check``, ``function_vertex`` and ``vertex_function``, which no
+code of the package calls), a local betweenness order
 by trying every permutation, the revealed betweenness of a model by a
 symbol-level scan of every removal, and the orders whose theta model
 contains a model by testing the theta axioms under all n! orders.
@@ -45,7 +48,7 @@ from choicelattice import (
     RThetaViolation,
     exact_feasible,
 )
-from choicelattice.core import order_ranks
+from choicelattice.core import _same_domain, order_ranks
 from choicelattice.models import _theta_fault
 from choicelattice.polytope import ConstraintSystem
 
@@ -366,6 +369,62 @@ def _int_det(matrix: list[list[int]]) -> int:
             mat[i][k] = 0
         prev = mat[k][k]
     return sign * mat[n - 1][n - 1]
+
+
+def heller_check(system: ConstraintSystem) -> bool:
+    """Sufficient condition for total unimodularity on the transposed matrix.
+
+    With one partition class holding every row and the other empty, the
+    condition reduces to: at most two nonzeros per transposed column (per
+    original row), and any two of them with opposite signs.
+    """
+    for row in system.rows:
+        nz = [v for v in row if v != 0]
+        if any(v not in (-1, 1) for v in nz):
+            return False
+        if len(nz) > 2:
+            return False
+        if len(nz) == 2 and nz[0] == nz[1]:
+            return False
+    return True
+
+
+def function_vertex(system: ConstraintSystem,
+                    c: ChoiceFunction) -> tuple[Fraction, ...]:
+    """The 0/1 cumulative vector of a deterministic choice function,
+    in the system's column order."""
+    _same_domain(c, system)
+    grank = order_ranks(system.global_order, system.domain.n)
+    return tuple(ONE if grank[c.picks[si]] < grank[x] else ZERO
+                 for si, x in system.columns)
+
+
+def vertex_function(system: ConstraintSystem,
+                    point: Sequence[Fraction]) -> ChoiceFunction | None:
+    """Invert a 0/1 vertex to its choice function, when it is a cumulative.
+
+    Per set, a monotone 0/1 column pattern whose best-ranked entry is 0
+    encodes "pick the worst zero".  Saturated patterns (a 1 at the best
+    member of some set) are not cumulatives of any function: None.
+    """
+    dom = system.domain
+    grank = order_ranks(system.global_order, dom.n)
+    per_set: dict[int, list[tuple[int, Fraction]]] = {}
+    for (si, x), v in zip(system.columns, point):
+        per_set.setdefault(si, []).append((x, v))
+    picks = [None] * len(dom.sets)
+    for si, entries in per_set.items():
+        entries.sort(key=lambda e: grank[e[0]])
+        values = [v for _, v in entries]
+        if any(v not in (ZERO, ONE) for v in values):
+            return None
+        if any(a > b for a, b in zip(values, values[1:])):
+            return None  # not monotone down the ranking
+        if values[0] == ONE:
+            return None  # saturated: no function has weight above its best
+        picks[si] = max((x for x, v in entries if v == ZERO),
+                        key=lambda x: grank[x])
+    return ChoiceFunction(dom, tuple(picks))
 
 
 def fraction_sweep(rcf: RandomChoiceFunction, ordering: PrimitiveOrderings

@@ -459,6 +459,19 @@ def test_generate_refuses_n_before_building_the_domain(capsys, monkeypatch,
     assert _run(capsys, argv) == (3, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--size", "0"], "size must be between 1 and 24"),
+    (["--alternatives", "a,a"], "duplicate symbols in ('a', 'a')"),
+    (["--alternatives", ""], "domain needs at least one alternative"),
+    (["--kind", "theta", "--alternatives", "a,b,c", "--order", "a>b"],
+     "global order must rank every alternative exactly once"),
+], ids=["size", "repeated", "empty", "order"])
+def test_generate_argument_errors_exit_2(capsys, argv, message):
+    # a usage error, like the --size x that argparse refuses; the message
+    # line is all of stderr, so no traceback is printed
+    assert _run(capsys, ["generate", *argv]) == (2, "", f"error: {message}\n")
+
+
 def test_respelt_functions_load_to_the_canonical_model(workdir):
     canonical = cli.load_model("rational_explicit.json")
     assert cli.load_model("rational_respelt.json") == canonical

@@ -13,12 +13,10 @@ from choicelattice import (
     Comparison,
     DomainMismatchError,
     PrimitiveOrderings,
-    build_constraints,
     cli,
     compare,
     decompose_progressive,
     deterministic,
-    function_vertex,
     in_delta,
     is_chain,
     is_lattice,
@@ -300,8 +298,6 @@ FOREIGN_CALLS = {
     "compare": compare,
     "join": join,
     "meet": meet,
-    "function_vertex": lambda c, f, o: function_vertex(
-        build_constraints(c.domain, c.domain.alternatives), f),
 }
 
 

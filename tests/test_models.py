@@ -70,6 +70,63 @@ def _pairwise_witness(m, ordering):
     return None
 
 
+def _packed_key(ordering):
+    """Sort key of pick tuples: the rank at each set, read from the last set
+    to the first, which orders them as their packed values do."""
+    rank = ordering.rank
+    return lambda p: [rank[si][p[si]] for si in range(len(p) - 1, -1, -1)]
+
+
+def _generation_witness(m, ordering):
+    """Reference of ``is_lattice``'s witness rule, on pick tuples: the join
+    stage adds the members worst first, then the meet stage best first;
+    each adds a member g not built yet, and the first member a built before
+    g whose join (meet) with g leaves the model, with that escapee, is the
+    witness, a and g in the model's order."""
+    rank = ordering.rank
+    members = m.picks_set()
+    ascending = sorted(members, key=_packed_key(ordering))
+    for kind, op, generators in (("join", join_picks, ascending[::-1]),
+                                 ("meet", meet_picks, ascending)):
+        items, seen = [], set()
+        for g in generators:
+            if g in seen:
+                continue
+            built = [op(a, g, rank) for a in items]
+            for a, c in zip(items, built):
+                if c not in members:
+                    return (*sorted((a, g)), kind, c)
+            for c in [g] + built:
+                if c not in seen:
+                    seen.add(c)
+                    items.append(c)
+    return None
+
+
+def _check_lattice_witness(m, ordering, witness):
+    """The witness names two members, in the model's order, whose join or
+    meet is the escapee, which lies outside the model; and it is the one
+    the documented rule names."""
+    left, right = witness.left, witness.right
+    assert left in m and right in m and left.picks < right.picks
+    op = join if witness.kind == "join" else meet
+    assert op(left, right, ordering) == witness.escapee
+    assert witness.escapee not in m
+    assert (left.picks, right.picks, witness.kind,
+            witness.escapee.picks) == _generation_witness(m, ordering)
+
+
+def _chain_witness(m, ordering):
+    """Reference of ``is_chain``'s witness rule: the first pair of members
+    next to each other in packed order that is incomparable, in the
+    model's order; None on a chain."""
+    walk = sorted(m.picks_set(), key=_packed_key(ordering))
+    for p, q in zip(walk, walk[1:]):
+        if compare_picks(p, q, ordering.rank) is Comparison.INCOMPARABLE:
+            return tuple(sorted((p, q)))
+    return None
+
+
 def _closure_of_size(rng, domain, ordering, low, high):
     """The lattice closure of random generators, with low to high members."""
     while True:
@@ -81,10 +138,10 @@ def _closure_of_size(rng, domain, ordering, low, high):
 
 
 def _counting(ordering):
-    """An equal ordering whose packed join and meet record the second
-    operand of every scalar call, by operation."""
+    """An equal ordering whose packed join, meet and weakly_better record
+    the second operand of every scalar call, by operation."""
     packed = ordering.packed
-    seconds = {"join": [], "meet": []}
+    seconds = {"join": [], "meet": [], "weakly_better": []}
 
     def counted(kind):
         op = getattr(packed, kind)
@@ -96,8 +153,8 @@ def _counting(ordering):
 
     copy = PrimitiveOrderings(ordering.domain, ordering.per_set,
                               ordering.global_order)
-    copy.__dict__["packed"] = packed._replace(join=counted("join"),
-                                              meet=counted("meet"))
+    copy.__dict__["packed"] = packed._replace(
+        **{kind: counted(kind) for kind in seconds})
     return copy, seconds
 
 
@@ -168,15 +225,18 @@ class TestPackedEngine:
             assert ok is (expect is None)
             if witness is not None:
                 failures += 1
-                assert (witness.left.picks, witness.right.picks, witness.kind,
-                        witness.escapee.picks) == expect
+                _check_lattice_witness(m, ordering, witness)
             rank = ordering.rank
             pairs = [(c1, c2) for c1, c2 in
                      itertools.combinations(m.functions, 2)
                      if compare_picks(c1.picks, c2.picks, rank)
                      is Comparison.INCOMPARABLE]
-            assert is_chain(m, ordering) == (
-                (False, pairs[0]) if pairs else (True, None))
+            ok, pair = is_chain(m, ordering)
+            assert ok is (not pairs) and (pair is None) is ok
+            if pair is not None:
+                assert pair in pairs
+                assert (pair[0].picks, pair[1].picks) == _chain_witness(
+                    m, ordering)
         assert failures >= 10
 
     @pytest.mark.parametrize("per_set", [False, True])
@@ -208,11 +268,9 @@ class TestPackedEngine:
                       for i in (0, len(theta) // 2, len(theta) - 1)]
         for m, ordering in cases:
             ok, witness = is_lattice(m, ordering)
-            expect = _pairwise_witness(m, ordering)
-            assert ok is (expect is None)
+            assert ok is (_pairwise_witness(m, ordering) is None)
             if witness is not None:
-                assert (witness.left.picks, witness.right.picks, witness.kind,
-                        witness.escapee.picks) == expect
+                _check_lattice_witness(m, ordering, witness)
 
     def test_is_lattice_finds_an_escape_at_the_last_pair(self):
         # a chain strictly below j, then p and q with join j: under the
@@ -276,11 +334,11 @@ class TestPackedEngine:
             for kind in ("join", "meet"):
                 assert len(seconds[kind]) <= (ell + 1) * len(closed)
 
-    def test_is_lattice_stops_after_l_plus_one_generators(self):
+    def test_join_closed_antichain_escapes_in_the_meet_stage(self):
         # the join-closure of an antichain of l + 2 members: it is closed
         # under join, and each antichain member is join-irreducible in it,
-        # so the join stage stops before its (l + 2)-th generator having
-        # built nothing outside; the pair scan then finds the meet witness
+        # so the join stage adds all l + 2, one more than any lattice needs,
+        # and builds nothing outside; the meet stage names the witness
         domain = ChoiceDomain.full("abcd")
         ordering = PrimitiveOrderings.from_global(domain, "abcd")
         ell = _length(domain)
@@ -300,29 +358,28 @@ class TestPackedEngine:
         counted, seconds = _counting(ordering)
         pack = ordering.packed.pack
         values = [pack(c.picks) for c in m.functions]
-        assert _close(sorted(values, reverse=True), counted.packed.join,
-                      set(values), ell + 1) is None
-        assert set(seconds["join"]) <= {pack(p) for p in antichain}
-        assert len(set(seconds["join"])) == ell
+        items, escape = _close(sorted(values, reverse=True),
+                               counted.packed.join, set(values))
+        assert escape is None and sorted(items) == sorted(values)
+        # the worst antichain member comes first and makes no call
+        generators = {pack(p) for p in antichain}
+        assert set(seconds["join"]) == generators - {max(generators)}
         ok, witness = is_lattice(m, ordering)
         assert not ok and witness.kind == "meet"
-        assert _pairwise_witness(m, ordering) == (
-            witness.left.picks, witness.right.picks, "meet",
-            witness.escapee.picks)
+        _check_lattice_witness(m, ordering, witness)
 
     @pytest.mark.parametrize("per_set", [False, True])
     @pytest.mark.parametrize("n", [5, 6])
     def test_is_lattice_witness_on_the_rational_model(self, n, per_set):
         # the rational model is what the CLI's failing check --lattice
-        # scans for its witness at n = 5 and 6
+        # names a witness for at n = 5 and 6
         rng = random.Random(500 * n + per_set)
         domain = ChoiceDomain.full("abcdef"[:n])
         rational = enumerate_rational(domain)
         ordering = random_ordering(rng, domain, per_set)
         ok, witness = is_lattice(rational, ordering)
         assert not ok
-        assert (witness.left.picks, witness.right.picks, witness.kind,
-                witness.escapee.picks) == _pairwise_witness(rational, ordering)
+        _check_lattice_witness(rational, ordering, witness)
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_is_lattice_accepts_a_maximal_chain(self, n):
@@ -339,6 +396,34 @@ class TestPackedEngine:
         for kind in ("join", "meet"):
             assert len(set(seconds[kind])) == len(chain) - 1
             assert len(seconds[kind]) == len(chain) * (len(chain) - 1) // 2
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    def test_late_escapes_cost_what_generation_costs(self, position):
+        # theta(abcd) less one member: a stage stops at its first escape,
+        # within the (l + 1) |M| operations that generating a lattice
+        # takes, where a scan of the pairs walks far for a late one
+        domain = ChoiceDomain.full("abcd")
+        ordering = PrimitiveOrderings.from_global(domain, "abcd")
+        theta = theta_model(domain, "abcd").functions
+        i = {"first": 0, "middle": len(theta) // 2,
+             "last": len(theta) - 1}[position]
+        m = ChoiceModel(domain, theta[:i] + theta[i + 1:])
+        counted, seconds = _counting(ordering)
+        ok, witness = is_lattice(m, counted)
+        assert not ok and _pairwise_witness(m, ordering) is not None
+        _check_lattice_witness(m, ordering, witness)
+        for kind in ("join", "meet"):
+            assert len(seconds[kind]) <= (_length(domain) + 1) * len(m)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_is_chain_compares_neighbours_in_packed_order(self, n):
+        # one comparison per member after the first, not one per pair
+        domain = ChoiceDomain.full("abcdef"[:n])
+        ordering = PrimitiveOrderings.from_global(domain, domain.alternatives)
+        chain = _maximal_chain(domain)
+        counted, seconds = _counting(ordering)
+        assert is_chain(chain, counted) == (True, None)
+        assert len(seconds["weakly_better"]) <= len(chain) - 1
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_theta_model_equals_axiom_filter(self, n):

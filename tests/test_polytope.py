@@ -10,11 +10,8 @@ from choicelattice import (
     GuardError,
     build_constraints,
     compose,
-    function_vertex,
-    heller_check,
     satisfies_rtheta,
     theta_model,
-    vertex_function,
 )
 from choicelattice.core import order_ranks
 from brute import (
@@ -23,7 +20,10 @@ from brute import (
     all_orderings,
     enumerate_vertices,
     fraction_cumulatives,
+    function_vertex,
+    heller_check,
     sample_subdeterminants,
+    vertex_function,
 )
 from conftest import ABC
 from test_random_choice import random_rcf
