@@ -52,6 +52,5 @@ from .identify import (
     check_axioms,
     identify_primitive,
 )
-from .oracle import exact_feasible
 
 __version__ = "0.1.0"

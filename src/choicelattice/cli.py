@@ -130,10 +130,7 @@ def _infer_domain(sets: list[tuple[str, ...]], data: dict, path) -> ChoiceDomain
         alternatives = sorted({a for s in sets for a in s})
     else:
         alternatives = _symbols(alternatives, "alternatives", path)
-    try:
-        return ChoiceDomain.from_symbols(alternatives, sets)
-    except DomainMismatchError as exc:
-        raise SchemaError(str(exc)) from None
+    return ChoiceDomain.from_symbols(alternatives, sets)
 
 
 def _position(domain: ChoiceDomain, members: Sequence[str], path) -> int:

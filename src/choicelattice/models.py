@@ -8,7 +8,6 @@ minimal extension, checks mixture closure, and draws seeded random models.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random as _stdrandom
 from dataclasses import dataclass, field
@@ -445,16 +444,27 @@ def is_mixture_closed(model: ChoiceModel) -> tuple[bool, MixtureWitness | None]:
     Recombining members two at a time reaches every function of the product
     of the per-set chosen alternatives, so the model is closed iff it is that
     product.  It always lies inside the product, so it is the product iff
-    the sizes match.  Only an open model scans its pairs, for the first
-    escape.
+    the sizes match.  An open model names the first single-set swap
+    c[S := v] outside it, with members in model order, sets in domain order
+    and each set's chosen alternatives ascending, and pairs c with the
+    first member that picks v at S.  Such a swap exists, since swaps that
+    all stayed inside would lead from any member to the whole product.
     """
     members = model.picks_set()
-    if math.prod(len(set(column)) for column in zip(*members)) == len(members):
+    chosen = [sorted(set(column)) for column in zip(*members)]
+    if math.prod(map(len, chosen)) == len(members):
         return True, None
-    for c1, c2 in itertools.combinations(model.functions, 2):
-        options = [(x,) if x == y else (x, y) for x, y in zip(c1.picks, c2.picks)]
-        for mix in itertools.product(*options):
-            if mix not in members:
-                return False, MixtureWitness(c1, c2,
-                                             ChoiceFunction(model.domain, mix))
-    raise AssertionError("an open model has an escaping pair")
+    functions = model.functions
+    for c in functions:
+        picks = c.picks
+        for si, values in enumerate(chosen):
+            for v in values:
+                if v == picks[si]:
+                    continue
+                swap = picks[:si] + (v,) + picks[si + 1:]
+                if swap not in members:
+                    donor = next(d for d in functions if d.picks[si] == v)
+                    left, right = sorted((c, donor), key=attrgetter("picks"))
+                    return False, MixtureWitness(
+                        left, right, ChoiceFunction(model.domain, swap))
+    raise AssertionError("an open model has an escaping swap")

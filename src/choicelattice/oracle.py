@@ -1,9 +1,10 @@
 """Exact linear feasibility.
 
 ``exact_feasible`` is the exact simplex behind ``in_delta``: a phase-one
-simplex over integer rows, pivoted fraction-free (each row is kept as the
-true row times a positive factor and reduced by its gcd), that stores no
-artificial columns and no ``Fraction`` until it reads off the solution.
+simplex over the ``int`` system that ``in_delta`` builds, pivoted
+fraction-free (each row kept as the true row times a positive factor and
+reduced by its gcd), that stores no artificial columns and no ``Fraction``
+until it reads off the solution.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from .core import ChoiceError
 def exact_feasible(matrix, rhs) -> list[Fraction] | None:
     """Exact rational solution of A x = b with x >= 0, or None when infeasible.
 
-    Phase-one simplex with Bland's rule: deterministic, cycle-free, no
-    floating point anywhere.  Each row is scaled by the lcm of its
-    denominators, so the tableau holds only ints, and every row is stored
-    as the true row times some positive factor.  A pivot on p > 0 in row r
-    replaces each row i with a nonzero entry a in the entering column by
+    A is ``int`` rows and b nonnegative ``int``s, so the artificial basis
+    starts feasible; any other b is refused.  Phase-one simplex with Bland's
+    rule: deterministic, cycle-free, no floating point anywhere.  The
+    tableau is the rows with b appended, and each row is stored as the true
+    row times some positive factor.  A pivot on p > 0 in row r replaces
+    each row i with a nonzero entry a in the entering column by
     p * row_i - a * row_r, then divides it by the gcd of its entries; the
     factors never need to be known, since the ratio test cross-multiplies
     and the entering rule reads only signs.  The artificial columns are
@@ -32,26 +34,18 @@ def exact_feasible(matrix, rhs) -> list[Fraction] | None:
         raise ChoiceError("matrix and rhs must align")
     width = len(matrix[0]) if matrix else 0
     tableau: list[list[int]] = []
-    scales: list[int] = []
     for row, b in zip(matrix, rhs):
         if len(row) != width:
             raise ChoiceError("ragged constraint matrix")
-        line = [v if isinstance(v, int) else Fraction(v) for v in (*row, b)]
-        scale = math.lcm(*{v.denominator for v in line})
-        sign = -1 if line[width] < 0 else 1
-        tableau.append([sign * v.numerator * (scale // v.denominator)
-                        for v in line])
-        scales.append(scale)
+        if type(b) is not int or b < 0:
+            raise ChoiceError(f"right-hand side {b!r} is not a nonnegative int")
+        tableau.append([*row, b])
 
     basis = [width + i for i in range(len(tableau))]
 
-    # Phase-one objective: drive the artificial mass to zero.  It is the sum
-    # of the true rows, here times the lcm of the row scales.
-    common = math.lcm(*scales)
-    obj = [0] * (width + 1)
-    for s, line in zip(scales, tableau):
-        k = common // s
-        obj = [u + k * v for u, v in zip(obj, line)]
+    # Phase-one objective: drive the artificial mass to zero.  It is the
+    # sum of the rows, 0 when there are none.
+    obj = [sum(column) for column in zip(*tableau)] or [0]
 
     while True:
         entering = next((k for k in range(width) if obj[k] > 0), None)

@@ -399,8 +399,8 @@ def in_delta(rcf: RandomChoiceFunction, model: ChoiceModel
     with weight w > 0 puts w on its pick at every set, so one that picks a
     zero-mass alternative anywhere must have weight 0: only the functions
     whose picks all have positive mass become columns, in the model's
-    order.  If no function is kept, or some positive entry (S, x) is picked
-    by no kept function, the answer is no with no LP.
+    order.  If some positive entry (S, x) is picked by no kept function, the
+    answer is no with no LP.
 
     Otherwise the rows are, per set, one equation for each positive-mass
     member except the first one, and the unit-mass equation, all with
@@ -414,7 +414,8 @@ def in_delta(rcf: RandomChoiceFunction, model: ChoiceModel
     that enter early pick first members and, without those rows, each pivot
     touches fewer rows.  The rows are 0/1 ``int``s and the system goes to
     ``oracle.exact_feasible``; its solution is divided by D once to give the
-    certificate.
+    certificate.  With no kept function it is the unit-mass row 0 = D,
+    which the simplex finds infeasible.
 
     ``DELTA_GUARD`` counts the model's functions, before either route.
     """
@@ -441,8 +442,6 @@ def in_delta(rcf: RandomChoiceFunction, model: ChoiceModel
             row[x] = v
     functions = [c for c in model.functions
                  if all(map(list.__getitem__, mass, c.picks))]
-    if not functions:
-        return False, None
     rows: list[list[int]] = []
     rhs: list[int] = []
     # per set, the kept functions' picks: all of them positive-mass members,

@@ -31,6 +31,7 @@ package's written-out draw.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -46,10 +47,10 @@ from choicelattice import (
     PrimitiveOrderings,
     RandomChoiceFunction,
     RThetaViolation,
-    exact_feasible,
 )
 from choicelattice.core import _same_domain, order_ranks
 from choicelattice.models import _theta_fault
+from choicelattice.oracle import exact_feasible
 from choicelattice.polytope import ConstraintSystem
 
 ZERO = Fraction(0)
@@ -542,20 +543,21 @@ def delta_unreduced(rcf: RandomChoiceFunction, model: ChoiceModel
                     ) -> tuple[bool, dict[ChoiceFunction, Fraction] | None]:
     """Delta(M) membership on the full system: every model function a
     column, one row per (set, member) except each set's first member, the
-    unit-mass row, and the RCF's ``Fraction`` probabilities as right-hand
-    sides."""
+    unit-mass row, and the RCF's probabilities as right-hand sides, each
+    times D, the lcm of their denominators, so in ``int`` units of 1/D."""
     functions = model.functions
+    common = math.lcm(*(p.denominator for row in rcf.probs for p in row))
     rows, rhs = [], []
     for si, s in enumerate(rcf.domain.sets):
         for pos, x in enumerate(s[1:], 1):
             rows.append([int(c.picks[si] == x) for c in functions])
-            rhs.append(rcf.probs[si][pos])
+            rhs.append(int(rcf.probs[si][pos] * common))
     rows.append([1] * len(functions))
-    rhs.append(ONE)
+    rhs.append(common)
     solution = exact_feasible(rows, rhs)
     if solution is None:
         return False, None
-    return True, {c: w for c, w in zip(functions, solution) if w != 0}
+    return True, {c: w / common for c, w in zip(functions, solution) if w != 0}
 
 
 def block_marschak(rcf: RandomChoiceFunction

@@ -1,9 +1,11 @@
 """Reference solver for the tests: the dense ``Fraction`` simplex.
 
 A phase-one simplex with Bland's rule that keeps every tableau entry as a
-``Fraction`` and carries one artificial column per row.  The integer,
-fraction-free solver in ``choicelattice.oracle`` must give the same
-verdict, and on the same rows the same solution vector.
+``Fraction`` and carries one artificial column per row.  It takes the
+system that ``choicelattice.oracle.exact_feasible`` takes, ``int`` rows and
+nonnegative ``int`` right-hand sides, and on that same system the integer,
+fraction-free solver must give the same verdict and the same solution
+vector.
 """
 
 from __future__ import annotations
@@ -20,11 +22,8 @@ def dense_feasible(matrix, rhs) -> list[Fraction] | None:
     width = len(matrix[0]) if matrix else 0
     tableau: list[list[Fraction]] = []
     for row, b in zip(matrix, rhs):
-        assert len(row) == width
-        line = [Fraction(v) for v in row] + [Fraction(b)]
-        if line[width] < 0:
-            line = [-v for v in line]
-        tableau.append(line)
+        assert len(row) == width and b >= 0
+        tableau.append([Fraction(v) for v in row] + [Fraction(b)])
 
     m = len(tableau)
     total = width + m  # artificials appended

@@ -472,6 +472,46 @@ def test_generate_argument_errors_exit_2(capsys, argv, message):
     assert _run(capsys, ["generate", *argv]) == (2, "", f"error: {message}\n")
 
 
+LOADER_FAULTS = {
+    "function_misses_set": (
+        {"functions": [_explicit("aaab"),
+                       {"picks": _explicit("abab")["picks"][:3]}]},
+        ["check", "bad.json", "--mixture"], "a function misses some choice set"),
+    "functions_empty": (
+        {"sets": [list(s) for s in SETS3], "functions": []},
+        ["check", "bad.json", "--mixture"], "'functions' must be a nonempty list"),
+    "compact_without_sets": (
+        {"functions": ["aaab"]}, ["check", "bad.json", "--mixture"],
+        "compact functions need a top-level 'sets' key"),
+    "function_entry_number": (
+        {"sets": [list(s) for s in SETS3], "functions": [5]},
+        ["check", "bad.json", "--mixture"], "unrecognized function entry 5"),
+    "probs_empty": (
+        {"probs": []}, ["decompose", "bad.json", "ord.json"],
+        "'probs' must be a nonempty list"),
+    "per_set_misses_set": (
+        _per_set(["bac", "ab", "ca"]),
+        ["check", "theta.json", "bad.json", "--lattice"],
+        "per-set orderings miss some choice set"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADER_FAULTS))
+def test_loader_faults_exit_2(workdir, capsys, kind):
+    # the message line names the file and is all of stderr: no traceback
+    content, argv, message = LOADER_FAULTS[kind]
+    (workdir / "bad.json").write_text(json.dumps(content), encoding="utf-8")
+    assert _run(capsys, argv) == (2, "", f"error: bad.json: {message}\n")
+
+
+def test_alternatives_missing_a_set_member_exit_2(workdir, capsys):
+    (workdir / "bad.json").write_text(json.dumps(
+        {"alternatives": ["a", "b"], "sets": [["a", "b", "c"]],
+         "functions": ["a"]}), encoding="utf-8")
+    assert _run(capsys, ["check", "bad.json", "--mixture"]) == (
+        2, "", "error: unknown alternative 'c'\n")
+
+
 def test_respelt_functions_load_to_the_canonical_model(workdir):
     canonical = cli.load_model("rational_explicit.json")
     assert cli.load_model("rational_respelt.json") == canonical

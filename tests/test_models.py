@@ -648,16 +648,54 @@ class TestTheta:
             theta_model(ChoiceDomain.full("abcde"), "abcde")
 
 
-class TestMixtureClosure:
-    def _mixtures(self, c1, c2):
-        options = [(x,) if x == y else (x, y)
-                   for x, y in zip(c1.picks, c2.picks)]
-        return set(itertools.product(*options))
+def _mixtures(c1, c2):
+    options = [(x,) if x == y else (x, y) for x, y in zip(c1.picks, c2.picks)]
+    return set(itertools.product(*options))
 
+
+def _swap_witness(m):
+    """The documented rule: members in model order, sets in domain order and
+    each set's chosen alternatives ascending, up to the first single-set
+    swap outside m; with the first member that picks the swapped-in
+    alternative there, the two in model order."""
+    fns = list(m.functions)
+    chosen = [sorted({d.picks[si] for d in fns})
+              for si in range(len(m.domain.sets))]
+    for c in fns:
+        for si, values in enumerate(chosen):
+            for v in values:
+                picks = list(c.picks)
+                picks[si] = v
+                if tuple(picks) not in m.picks_set():
+                    donor = next(d for d in fns if d.picks[si] == v)
+                    left, right = sorted((c, donor), key=fns.index)
+                    return left, right, tuple(picks)
+    return None
+
+
+def _check_mixture_witness(m, witness):
+    fns = list(m.functions)
+    assert fns.index(witness.left) < fns.index(witness.right)
+    assert witness.escapee not in m
+    assert all(e in (x, y) for e, x, y in zip(
+        witness.escapee.picks, witness.left.picks, witness.right.picks))
+    assert (witness.left, witness.right,
+            witness.escapee.picks) == _swap_witness(m)
+
+
+class _Probed(frozenset):
+    """A frozenset that counts its ``in`` tests."""
+
+    def __contains__(self, item):
+        self.probes += 1
+        return super().__contains__(item)
+
+
+class TestMixtureClosure:
     def test_example1_closed_by_exhaustion(self, example1_model):
         members = example1_model.picks_set()
         for c1, c2 in itertools.combinations(example1_model.functions, 2):
-            assert self._mixtures(c1, c2) <= members
+            assert _mixtures(c1, c2) <= members
         assert is_mixture_closed(example1_model)[0]
 
     def test_everything_is_closed(self, dom3):
@@ -667,10 +705,10 @@ class TestMixtureClosure:
         rational = enumerate_rational(dom3)
         ok, witness = is_mixture_closed(rational)
         assert not ok
-        assert witness.escapee.picks in self._mixtures(witness.left, witness.right)
-        assert witness.escapee not in rational
+        _check_mixture_witness(rational, witness)
+        assert witness.escapee.to_string() == "baab"
         # baab escapes the bbab/cacc pair specifically
-        assert fn(dom3, "baab").picks in self._mixtures(
+        assert fn(dom3, "baab").picks in _mixtures(
             fn(dom3, "bbab"), fn(dom3, "cacc"))
 
     def test_large_product_is_closed_by_its_count(self, dom4):
@@ -681,6 +719,50 @@ class TestMixtureClosure:
         start = time.perf_counter()
         assert is_mixture_closed(product) == (True, None)
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("removed", [2 ** 11 - 1, 2 ** 10 - 1],
+                             ids=["far corner", "1024th"])
+    def test_late_escape_from_a_product(self, dom4, removed):
+        # the product of the first two members of each of the 11 sets, less
+        # one member: every escaping swap starts at a neighbour of it, the
+        # first one at member 1,023 (far corner) or 511 (the 1,024th); each
+        # of the |M| members has 11 swaps
+        full = sorted(itertools.product(*(s[:2] for s in dom4.sets)))
+        m = ChoiceModel.from_picks(dom4, full[:removed] + full[removed + 1:])
+        probed = _Probed(m.picks_set())
+        probed.probes = 0
+        object.__setattr__(m, "_members", probed)
+        ok, witness = is_mixture_closed(m)
+        assert not ok and witness.escapee.picks == full[removed]
+        assert probed.probes <= len(m) * 11
+        _check_mixture_witness(m, witness)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_witness_follows_the_swap_rule(self, n):
+        rng = random.Random(451 + n)
+        dom = ChoiceDomain.full("abcde"[:n])
+        # a product over the first three sets, and that product less one
+        # member, a corner or one inside
+        product = sorted(itertools.product(
+            *(s[:2] for s in dom.sets[:3]), *((s[0],) for s in dom.sets[3:])))
+        models = [enumerate_rational(dom)] + [
+            ChoiceModel.from_picks(dom, product[:k] + product[k + 1:])
+            for k in (len(product), 0, 3)] + [
+            gen_random_model(rng.randrange(10 ** 6), dom, rng.randint(2, 12))
+            for _ in range(20)]
+        closed = 0
+        for m in models:
+            ok, witness = is_mixture_closed(m)
+            if n == 3:  # the pairwise definition
+                assert ok is all(
+                    _mixtures(c1, c2) <= m.picks_set()
+                    for c1, c2 in itertools.combinations(m.functions, 2))
+            if ok:  # and the reference's scan of every swap
+                assert witness is None and _swap_witness(m) is None
+                closed += 1
+            else:
+                _check_mixture_witness(m, witness)
+        assert 1 <= closed <= len(models) - 10
 
 
 def _argmax_set(m):

@@ -1,12 +1,15 @@
 """The integer simplex of ``oracle.exact_feasible`` against the dense
-``Fraction`` simplex kept in ``lp_reference``."""
+``Fraction`` simplex kept in ``lp_reference``, both on the same ``int``
+systems with nonnegative right-hand sides."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from choicelattice import ChoiceError, exact_feasible
+from choicelattice import ChoiceError
+from choicelattice.oracle import exact_feasible
 
 from lp_reference import dense_feasible
 
@@ -75,6 +78,19 @@ def _membership_system(rng):
     return rows, rhs
 
 
+def _integral(rows, rhs):
+    """The same solutions as ``int`` rows with b >= 0: each row times the
+    lcm of its denominators, negated where its right-hand side is negative."""
+    out_rows, out_rhs = [], []
+    for row, b in zip(rows, rhs):
+        line = [F(v) for v in (*row, b)]
+        scale = math.lcm(*(v.denominator for v in line))
+        line = [int(v * (-scale if b < 0 else scale)) for v in line]
+        out_rows.append(line[:-1])
+        out_rhs.append(line[-1])
+    return out_rows, out_rhs
+
+
 def _satisfies(rows, rhs, x):
     return (all(v >= 0 for v in x)
             and all(sum(F(a) * v for a, v in zip(row, x)) == b
@@ -89,12 +105,14 @@ def test_matches_dense_reference():
     for trial in range(600):
         membership = trial % 3 == 0
         rows, rhs = (_membership_system if membership else _system)(rng)
-        got = exact_feasible(rows, rhs)
-        assert got == dense_feasible(rows, rhs), (rows, rhs)
+        int_rows, int_rhs = _integral(rows, rhs)
+        got = exact_feasible(int_rows, int_rhs)
+        assert got == dense_feasible(int_rows, int_rhs), (int_rows, int_rhs)
         if got is None:
             seen["infeasible"] += 1
             seen["membership infeasible"] += membership
         else:
+            assert _satisfies(int_rows, int_rhs, got)
             assert _satisfies(rows, rhs, got)
             assert all(type(v) is Fraction for v in got)
             seen["feasible"] += 1
@@ -109,20 +127,20 @@ def test_matches_dense_reference():
 def test_tie_break_picks_the_vertex():
     # A feasible system with more than one solution, on which the smallest
     # basis index among tied rows in the ratio test leads to this vertex and
-    # the largest leads to another, (3, 0, 0, 2, 1, 6, 4, 1) / 17.
+    # the largest leads to another, (3, 0, 0, 2, 1, 6, 4, 1).
     rows = [[0, 1, 0, 0, 1, 0, 0, 1], [1, 0, 1, 1, 0, 1, 1, 0],
             [0, 1, 1, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0],
             [1, 0, 0, 1, 0, 1, 0, 1], [1, 0, 1, 0, 1, 0, 0, 0],
             [0, 0, 0, 0, 0, 1, 0, 1], [0, 0, 0, 1, 0, 0, 0, 0],
             [0, 1, 0, 0, 0, 0, 1, 0], [1, 1, 1, 1, 1, 1, 1, 1]]
-    rhs = [F(v, 17) for v in (2, 15, 1, 4, 12, 4, 7, 2, 4, 17)]
-    expect = [F(v, 17) for v in (3, 0, 1, 2, 0, 5, 4, 2)]
+    rhs = [2, 15, 1, 4, 12, 4, 7, 2, 4, 17]
+    expect = [F(v) for v in (3, 0, 1, 2, 0, 5, 4, 2)]
     assert exact_feasible(rows, rhs) == dense_feasible(rows, rhs) == expect
 
 
 def test_empty_systems():
     for rows, rhs, expect in (([], [], []), ([[]], [0], []),
-                              ([[]], [F(1, 2)], None), ([[], []], [0, -1], None)):
+                              ([[]], [1], None), ([[], []], [0, 1], None)):
         assert exact_feasible(rows, rhs) == expect
         assert dense_feasible(rows, rhs) == expect
 
@@ -132,3 +150,6 @@ def test_malformed_input():
         exact_feasible([[1, 2]], [1, 2])
     with pytest.raises(ChoiceError, match="ragged"):
         exact_feasible([[1, 2], [1]], [1, 1])
+    for b in (-1, F(1, 2), F(2), 1.0):
+        with pytest.raises(ChoiceError, match="not a nonnegative int"):
+            exact_feasible([[1, 1]], [b])

@@ -103,6 +103,10 @@ class TestCompose:
         assert rho.probability(("a", "b", "c"), "b") == 1
         assert rho.probability(("a", "b", "c"), "a") == 0
 
+    def test_zero_weight_adds_nothing(self, dom3):
+        c = fn(dom3, "bacb")
+        assert compose({fn(dom3, "aaab"): F(0), c: F(1)}) == deterministic(c)
+
     def test_invalid_weights(self, dom3):
         c = fn(dom3, "aaab")
         with pytest.raises(ChoiceError):
